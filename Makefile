@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-clean vet race bench-smoke fuzz-smoke scenarios bench-visibility bench-stream bench-check stream-soak check
+.PHONY: build test lint lint-clean vet race bench-smoke fuzz-smoke alloc-guard scenarios bench-visibility bench-stream bench-check stream-soak perfbench perfbench-test check
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,15 @@ fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzVisibleAgainstNaive$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentCross$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSnapshotUpdate$$' -fuzztime 15s
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzCornerCertificate$$' -fuzztime 15s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 15s
+
+## alloc-guard: the steady-state zero-allocation guards of the hot
+## paths — the visibility kernel, the hull on reusable scratch, and
+## LogVis's Compute (mirrors the CI step; skipped under -race).
+alloc-guard:
+	$(GO) test ./internal/geom -count=1 -v -run 'TestKernelZeroAllocSteadyState|TestRowCacheZeroAllocSteadyState|TestConvexHullZeroAllocScratch'
+	$(GO) test ./internal/core -count=1 -v -run 'TestComputeZeroAllocSteadyState'
 
 ## scenarios: the robustness matrix at CI scale — every stressor of the
 ## scenario suite against the paper's claims, 1 seed, engine-vs-auditor
@@ -80,6 +88,18 @@ bench-check:
 ## one hot run under the race detector, with a goroutine-leak bound.
 stream-soak:
 	$(GO) test ./internal/serve -race -count=1 -run '^TestStreamSoak$$' -v
+
+## perfbench: one workload of the repository benchmark (see
+## perfbench/README.md), e.g. `make perfbench WORKLOAD=stress-matrix`.
+WORKLOAD ?= logvis-large
+SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0
+
+## perfbench-test: the benchmark's own self-tests. perfbench is a module
+## of its own, so the root `go test ./...` does not run them.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 ## check: everything a PR must pass, in fail-fast order.
 check: build vet lint test race bench-smoke fuzz-smoke scenarios

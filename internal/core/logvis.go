@@ -18,7 +18,7 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"luxvis/internal/geom"
 	"luxvis/internal/model"
@@ -93,7 +93,47 @@ func (a *LogVis) corridorFrac() float64 {
 	return a.CorridorFrac
 }
 
-// Compute implements model.Algorithm.
+// scratch is the working set of one Compute: the snapshot's points,
+// built once, and the buffers of the hull and slot searches. Computes run
+// concurrently on one LogVis (internal/rt shares it across its robot
+// goroutines), so scratches live in scratchPool, not in the LogVis, and
+// nothing in one outlives the Compute that took it.
+type scratch struct {
+	// pts holds self first, then the others in snapshot order.
+	pts        []geom.Point
+	hull       geom.HullScratch
+	beacons    []geom.Point
+	beaconHull geom.HullScratch
+	beaconKeys []keyed
+	cornerKeys []keyed
+	ring       []geom.Point
+	slots      []slot
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// load fills pts from the snapshot.
+func (sc *scratch) load(s model.Snapshot) {
+	sc.pts = append(sc.pts[:0], s.Self.Pos)
+	for _, o := range s.Others {
+		sc.pts = append(sc.pts, o.Pos)
+	}
+}
+
+// others returns the visible robots' positions, excluding self.
+func (sc *scratch) others() []geom.Point { return sc.pts[1:] }
+
+// diam returns the Euclidean diagonal of the view's bounding box, the
+// swarm scale of the landing-sagitta law.
+func (sc *scratch) diam() float64 {
+	min, max := geom.BoundingBox(sc.pts)
+	return max.Sub(min).Norm()
+}
+
+// Compute implements model.Algorithm. It allocates nothing once the
+// pooled scratch buffers have grown to the view size. A robot whose
+// corner status geom.CornerCertified proves in O(V) skips the hull; every
+// other robot classifies itself on its view's hull.
 func (a *LogVis) Compute(s model.Snapshot) model.Action {
 	self := s.Self.Pos
 	switch len(s.Others) {
@@ -106,19 +146,24 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 		return model.Stay(self, model.Corner)
 	}
 
-	pts := s.Points()
-	if geom.AllCollinear(pts) {
-		return a.computeOnLine(s)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.load(s)
+	if geom.AllCollinear(sc.pts) {
+		return a.computeOnLine(s, sc.pts)
+	}
+	if geom.CornerCertified(self, sc.others()) {
+		return a.computeCorner(s)
 	}
 
-	hull := geom.ConvexHull(pts)
+	hull := sc.hull.ConvexHull(sc.pts)
 	switch hull.Classify(self) {
 	case geom.HullCorner:
 		return a.computeCorner(s)
 	case geom.HullEdge:
-		return a.computeSide(s, hull)
+		return a.computeSide(s, hull, sc.others())
 	default:
-		return a.computeInterior(s)
+		return a.computeInterior(s, sc, nil)
 	}
 }
 
@@ -128,9 +173,8 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 // swarm is collinear. Extremes hold as corners; inner robots step off the
 // line perpendicularly by a quarter of their nearest gap. Endpoints stay
 // on the original line, so after one epoch the swarm is non-collinear.
-func (a *LogVis) computeOnLine(s model.Snapshot) model.Action {
+func (a *LogVis) computeOnLine(s model.Snapshot, pts []geom.Point) model.Action {
 	self := s.Self.Pos
-	pts := s.Points()
 	lo, hi := geom.LineExtremes(pts)
 	if pts[lo].Eq(self) || pts[hi].Eq(self) {
 		return model.Stay(self, model.Corner)
@@ -167,7 +211,7 @@ func (a *LogVis) computeCorner(s model.Snapshot) model.Action {
 // smallest relevant gap, becoming a strict corner of the grown hull.
 // Side robots bulge concurrently: their outward paths are parallel
 // normals from distinct base points, so they cannot cross.
-func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull) model.Action {
+func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull, others []geom.Point) model.Action {
 	self := s.Self.Pos
 	ea, eb, ok := hull.EdgeOf(self)
 	if !ok {
@@ -204,7 +248,7 @@ func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull) model.Action {
 	}
 	h := gap * a.bulgeFrac()
 	target := self.Add(outward.Mul(h))
-	if !geom.PathClear(self, target, s.OtherPoints(), h*a.corridorFrac()) {
+	if !geom.PathClear(self, target, others, h*a.corridorFrac()) {
 		return model.Stay(self, model.Side)
 	}
 	return model.MoveTo(target, model.Beacon)
@@ -235,6 +279,14 @@ type slot struct {
 	dist float64    // distance from the robot to the interval segment
 }
 
+// slotNote receives each candidate slot computeInterior judges in its
+// pass, in try order, with the verdict: "ok" for the slot it moves
+// toward, else the reason it passed the slot over. Explain reads the
+// decision through it, so the two cannot drift apart.
+type slotNote func(sl slot, local bool, verdict string)
+
+const verdictOK = "ok"
+
 // computeInterior handles a robot strictly inside the hull: Interior
 // Depletion via beacon-directed placement. The robot finds the nearest
 // empty hull-edge interval between two visible beacons (Corner or Side
@@ -243,10 +295,11 @@ type slot struct {
 // interval. Feet are unique per position, which keeps concurrent landers
 // apart; the Transit light plus a projection guard serializes landings
 // per interval, which is exactly the one-landing-per-interval-per-epoch
-// discipline whose doubling yields O(log N).
-func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
+// discipline whose doubling yields O(log N). note, when non-nil, hears
+// every verdict.
+func (a *LogVis) computeInterior(s model.Snapshot, sc *scratch, note slotNote) model.Action {
 	self := s.Self.Pos
-	slots := a.candidateSlots(s)
+	slots := a.candidateSlots(s, sc)
 	if len(slots) == 0 {
 		return model.Stay(self, model.Interior)
 	}
@@ -255,8 +308,9 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 	// all are busy or unreachable, wait for the next cycle. The
 	// structural and corridor checks are O(V) each, so this keeps a
 	// Compute at O(V log V).
-	others := s.OtherPoints()
-	baseMargin := s.NearestDist() * a.corridorFrac()
+	others := sc.others()
+	diam := sc.diam()
+	nearest := s.NearestDist()
 	// Two passes. First, local landings: slots whose perpendicular slab
 	// (with slack) contains the robot and that are at most a few chord
 	// lengths away. Local approach paths are short and near-
@@ -295,50 +349,64 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 			if local != isLocal {
 				continue
 			}
-			if !a.slotUsable(self, sl.u, sl.v, s.Others) {
-				continue
+			target, verdict := a.judgeSlot(s, sl, local, others, diam, nearest)
+			if note != nil {
+				note(sl, local, verdict)
 			}
-			// A robot farther than one hop from its landing point is
-			// merely *approaching* the boundary: it drifts a bounded
-			// hop along the straight line to the landing point,
-			// re-Looking at fresh state between hops. Approaches need
-			// no slot claim — any number of deep robots drain outward
-			// in parallel, which is what keeps the deep-interior tail
-			// from serializing — only the final landing hop claims the
-			// interval (contest + Transit guard).
-			hop := math.Max(2*chord, 8*s.NearestDist())
-			rawTarget, ok := a.landingPoint(s, sl)
-			if !ok {
-				continue
+			if verdict == verdictOK {
+				return model.MoveTo(target, model.Transit)
 			}
-			if !local && a.slotContested(s, sl) {
-				continue
-			}
-			if a.slotBusy(s, sl) {
-				continue
-			}
-			target := rawTarget
-			if d := self.Dist(rawTarget); !local && d > hop {
-				// Hop: re-Look at fresh state every few gap-lengths
-				// instead of holding one cross-swarm motion segment
-				// active for a long stretch of the schedule.
-				target = self.Add(rawTarget.Sub(self).Mul(hop / d))
-			}
-			// The corridor clearance must stay below the target's own
-			// distance to the interval endpoints — or a lone far-away
-			// robot (whose nearest neighbour is distant) would reject
-			// every corridor for brushing past its interval's anchors —
-			// and below a fraction of the corridor's own length, so a
-			// millimetre hop is never vetoed by a robot metres away.
-			margin := math.Min(baseMargin, chord*a.slotMargin()/4)
-			margin = math.Min(margin, self.Dist(target)/4)
-			if !geom.PathClear(self, target, others, margin) {
-				continue
-			}
-			return model.MoveTo(target, model.Transit)
 		}
 	}
 	return model.Stay(self, model.Interior)
+}
+
+// judgeSlot applies computeInterior's checks to one slot of the given
+// pass, in order. It returns the target and verdictOK for a slot the
+// robot may move toward, else the first check that rejected the slot.
+func (a *LogVis) judgeSlot(s model.Snapshot, sl slot, local bool, others []geom.Point, diam, nearest float64) (geom.Point, string) {
+	self := s.Self.Pos
+	if !a.slotUsable(self, sl.u, sl.v, s.Others) {
+		return geom.Point{}, "unusable (occupied, or a robot on the far side)"
+	}
+	// A robot farther than one hop from its landing point is merely
+	// *approaching* the boundary: it drifts a bounded hop along the
+	// straight line to the landing point, re-Looking at fresh state
+	// between hops. Approaches need no slot claim — any number of deep
+	// robots drain outward in parallel, which is what keeps the
+	// deep-interior tail from serializing — only the final landing hop
+	// claims the interval (contest + Transit guard).
+	chord := sl.u.Dist(sl.v)
+	hop := math.Max(2*chord, 8*nearest)
+	rawTarget, ok := a.landingPoint(self, sl, diam)
+	if !ok {
+		return geom.Point{}, "degenerate interval"
+	}
+	if !local && a.slotContested(s, sl) {
+		return geom.Point{}, "contested (a nearer claimant is visible)"
+	}
+	if a.slotBusy(s, sl) {
+		return geom.Point{}, "transit guard (lander inbound)"
+	}
+	target := rawTarget
+	if d := self.Dist(rawTarget); !local && d > hop {
+		// Hop: re-Look at fresh state every few gap-lengths instead of
+		// holding one cross-swarm motion segment active for a long
+		// stretch of the schedule.
+		target = self.Add(rawTarget.Sub(self).Mul(hop / d))
+	}
+	// The corridor clearance must stay below the target's own distance
+	// to the interval endpoints — or a lone far-away robot (whose
+	// nearest neighbour is distant) would reject every corridor for
+	// brushing past its interval's anchors — and below a fraction of
+	// the corridor's own length, so a millimetre hop is never vetoed by
+	// a robot metres away.
+	margin := math.Min(nearest*a.corridorFrac(), chord*a.slotMargin()/4)
+	margin = math.Min(margin, self.Dist(target)/4)
+	if !geom.PathClear(self, target, others, margin) {
+		return geom.Point{}, "corridor blocked"
+	}
+	return target, verdictOK
 }
 
 // compareSlots orders candidate slots by distance, then chord length,
@@ -413,10 +481,10 @@ func (a *LogVis) slotContested(s model.Snapshot, sl slot) bool {
 // the boundary anymore are filtered by a single OnSegment check against
 // the edge their angle brackets. The structural validity of each
 // interval (emptiness, one-sidedness) is checked later, per tried
-// interval.
-func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
+// interval. The result lives in sc.
+func (a *LogVis) candidateSlots(s model.Snapshot, sc *scratch) []slot {
 	self := s.Self.Pos
-	var beacons []geom.Point
+	beacons := sc.beacons[:0]
 	for _, o := range s.Others {
 		// Done robots are settled corners and anchor slots just as
 		// Corner robots do.
@@ -424,70 +492,80 @@ func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
 			beacons = append(beacons, o.Pos)
 		}
 	}
+	sc.beacons = beacons
 	if len(beacons) < 2 {
 		return nil
 	}
-	bh := geom.ConvexHull(beacons)
-	cs := bh.Corners
+	cs := sc.beaconHull.ConvexHull(beacons).Corners
 	var ring []geom.Point
 	switch len(cs) {
 	case 0, 1:
 		return nil
 	case 2:
-		ring = collinearRing(beacons, cs[0], cs[1])
+		ring = sc.collinearRing(cs[0], cs[1])
 	default:
-		ring = boundaryRing(beacons, cs)
+		ring = sc.boundaryRing(cs)
 	}
 	if len(ring) < 2 {
 		return nil
 	}
-	out := make([]slot, 0, len(ring))
-	add := func(u, v geom.Point) {
-		if u.Eq(v) {
-			return
-		}
-		out = append(out, slot{u: u, v: v, dist: geom.Seg(u, v).Dist(self)})
-	}
+	out := sc.slots[:0]
 	for k := 0; k+1 < len(ring); k++ {
-		add(ring[k], ring[k+1])
+		out = appendSlot(out, self, ring[k], ring[k+1])
 	}
 	if len(cs) > 2 {
-		add(ring[len(ring)-1], ring[0]) // close the ring
+		out = appendSlot(out, self, ring[len(ring)-1], ring[0]) // close the ring
 	}
+	sc.slots = out
 	return out
+}
+
+// appendSlot appends the interval (u, v) unless it is a single point.
+func appendSlot(out []slot, self, u, v geom.Point) []slot {
+	if u.Eq(v) {
+		return out
+	}
+	return append(out, slot{u: u, v: v, dist: geom.Seg(u, v).Dist(self)})
+}
+
+// keyed is a point with a sort key: an angle around a centroid, or a
+// parameter along a segment.
+type keyed struct {
+	p   geom.Point
+	key float64
+}
+
+func compareKeys(a, b keyed) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // collinearRing orders the beacons of a degenerate (collinear) beacon
 // set along the segment AB.
-func collinearRing(beacons []geom.Point, A, B geom.Point) []geom.Point {
-	type bp struct {
-		p geom.Point
-		t float64
-	}
-	run := make([]bp, 0, len(beacons))
-	for _, w := range beacons {
+func (sc *scratch) collinearRing(A, B geom.Point) []geom.Point {
+	run := sc.beaconKeys[:0]
+	for _, w := range sc.beacons {
 		if geom.OnSegment(A, B, w) {
 			_, t := geom.ProjectOntoLine(A, B, w)
-			run = append(run, bp{p: w, t: t})
+			run = append(run, keyed{p: w, key: t})
 		}
 	}
-	slices.SortFunc(run, func(a, b bp) int {
-		switch {
-		case a.t < b.t:
-			return -1
-		case a.t > b.t:
-			return 1
-		default:
-			return 0
-		}
-	})
-	out := make([]geom.Point, 0, len(run))
+	sc.beaconKeys = run
+	slices.SortFunc(run, compareKeys)
+	out := sc.ring[:0]
 	for _, r := range run {
 		if len(out) > 0 && out[len(out)-1].Eq(r.p) {
 			continue
 		}
 		out = append(out, r.p)
 	}
+	sc.ring = out
 	return out
 }
 
@@ -495,45 +573,34 @@ func collinearRing(beacons []geom.Point, A, B geom.Point) []geom.Point {
 // boundary, in CCW order, in O(B log B): sort everything by angle around
 // the hull centroid, then sweep the hull edges in the same angular order
 // and keep each beacon only if it sits on the edge its angle brackets.
-func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
+func (sc *scratch) boundaryRing(corners []geom.Point) []geom.Point {
 	c := geom.Centroid(corners)
-	type ba struct {
-		p   geom.Point
-		ang float64
+	all := sc.beaconKeys[:0]
+	for _, w := range sc.beacons {
+		all = append(all, keyed{p: w, key: w.Sub(c).Angle()})
 	}
-	all := make([]ba, len(beacons))
-	for i, w := range beacons {
-		all[i] = ba{p: w, ang: w.Sub(c).Angle()}
-	}
-	slices.SortFunc(all, func(a, b ba) int {
-		switch {
-		case a.ang < b.ang:
-			return -1
-		case a.ang > b.ang:
-			return 1
-		default:
-			return 0
-		}
-	})
+	sc.beaconKeys = all
+	slices.SortFunc(all, compareKeys)
 
-	// Corner angles in the same sorted order; corners are a subset of
-	// the beacons, so their angles appear in `all` too.
-	ca := make([]float64, len(corners))
-	ci := make([]int, len(corners)) // corner index sorted by angle
-	for i, p := range corners {
-		ca[i] = p.Sub(c).Angle()
-		ci[i] = i
+	// Corners in the same angular order; corners are a subset of the
+	// beacons, so their angles appear in all too. Corner angles are
+	// distinct around the interior centroid.
+	cs := sc.cornerKeys[:0]
+	for _, p := range corners {
+		cs = append(cs, keyed{p: p, key: p.Sub(c).Angle()})
 	}
-	sort.Slice(ci, func(i, j int) bool { return ca[ci[i]] < ca[ci[j]] })
+	sc.cornerKeys = cs
+	slices.SortFunc(cs, compareKeys)
 
-	// edgeFor returns the hull edge whose angular wedge contains ang:
-	// between sorted corner k and the next one (wrapping).
-	edgeFor := func(ang float64) (geom.Point, geom.Point) {
-		// Find the last sorted corner with angle <= ang (binary search).
-		lo, hi := 0, len(ci)
+	out := sc.ring[:0]
+	for _, w := range all {
+		// The hull edge whose angular wedge contains w: from the last
+		// sorted corner with angle <= w's (wrapping past -π) to the
+		// next one.
+		lo, hi := 0, len(cs)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if ca[ci[mid]] <= ang {
+			if cs[mid].key <= w.key {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -541,16 +608,9 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 		}
 		k := lo - 1
 		if k < 0 {
-			k = len(ci) - 1 // wraps past -π
+			k = len(cs) - 1
 		}
-		a := corners[ci[k]]
-		b := corners[ci[(k+1)%len(ci)]]
-		return a, b
-	}
-
-	out := make([]geom.Point, 0, len(all))
-	for _, w := range all {
-		ea, eb := edgeFor(w.ang)
+		ea, eb := cs[k].p, cs[(k+1)%len(cs)].p
 		if w.p.Eq(ea) || w.p.Eq(eb) || geom.OnSegment(ea, eb, w.p) {
 			if len(out) > 0 && out[len(out)-1].Eq(w.p) {
 				continue
@@ -558,6 +618,7 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 			out = append(out, w.p)
 		}
 	}
+	sc.ring = out
 	return out
 }
 
@@ -626,8 +687,7 @@ func landingSagitta(chord, diam float64) float64 {
 // collapse everything below the margin onto one exact point — that
 // colocation was observed under the randomized ASYNC scheduler before
 // the squash).
-func (a *LogVis) landingPoint(s model.Snapshot, sl slot) (geom.Point, bool) {
-	self := s.Self.Pos
+func (a *LogVis) landingPoint(self geom.Point, sl slot, diam float64) (geom.Point, bool) {
 	_, t := geom.ProjectOntoLine(sl.u, sl.v, self)
 	// Feet inside the margins are kept exact, so robots above the
 	// interval descend along parallel perpendiculars and cannot cross;
@@ -655,9 +715,8 @@ func (a *LogVis) landingPoint(s model.Snapshot, sl slot) (geom.Point, bool) {
 		t = 1 - m + (m/2)*(x/(x+1))
 	}
 	// Land on the outward arc over the chord (u, v): bulge away from
-	// the robot's own (interior) side.
-	min, max := geom.BoundingBox(s.Points())
-	diam := max.Sub(min).Norm()
+	// the robot's own (interior) side, at the sagitta of a view of
+	// bounding-box diagonal diam.
 	if a.AblateConstantSagitta {
 		diam = 0 // disables the quadratic law; the cap fraction applies
 	}

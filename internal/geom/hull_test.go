@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -209,6 +210,49 @@ func TestCirclePointsStrictlyConvex(t *testing.T) {
 		}
 		if !CompleteVisibility(pts) {
 			t.Fatalf("circle points not completely visible (n=%d)", n)
+		}
+	}
+}
+
+// TestSortPointsMatchesSortFunc: the hull's specialised sort, and its
+// heapsort fallback, produce Less order on inputs with heavy duplication
+// (few distinct coordinates) and on sorted and reversed runs.
+func TestSortPointsMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cmp := func(a, b Point) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
+		}
+		return 0
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(300)
+		distinct := 1 + rng.Intn(20)
+		p := make([]Point, n)
+		for i := range p {
+			p[i] = Pt(float64(rng.Intn(distinct)), float64(rng.Intn(distinct)))
+		}
+		switch trial % 3 {
+		case 1:
+			slices.SortFunc(p, cmp)
+		case 2:
+			slices.SortFunc(p, cmp)
+			slices.Reverse(p)
+		}
+		want := slices.Clone(p)
+		slices.SortFunc(want, cmp)
+		got := slices.Clone(p)
+		sortPoints(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sortPoints(%v) = %v, want %v", p, got, want)
+		}
+		got = slices.Clone(p)
+		heapSortPoints(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("heapSortPoints(%v) = %v, want %v", p, got, want)
 		}
 	}
 }

@@ -188,6 +188,11 @@ type Algorithm interface {
 	// engine fails a run if an undeclared color appears; the palette
 	// size is the paper's O(1)-colors measurement.
 	Palette() []Color
-	// Compute maps a snapshot to an action.
+	// Compute maps a snapshot to an action. The snapshot is lent for
+	// the call only: the engine reuses s.Others' backing array for the
+	// robot's next Look, so an implementation that wants the views
+	// afterwards copies them. The same holds inside an implementation:
+	// anything built on pooled per-call scratch (LogVis's hull corners
+	// and point views) is valid only until Compute returns.
 	Compute(s Snapshot) Action
 }

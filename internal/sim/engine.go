@@ -536,9 +536,12 @@ func (e *engine) doLook(r int) {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
-	others := make([]model.RobotView, len(vis))
-	for i, j := range vis {
-		others[i] = model.RobotView{Pos: e.pos[j], Color: e.col[j]}
+	// The held snapshot's buffer is reused: Compute may not retain
+	// Others past its call (see model.Algorithm), and doCompute is the
+	// only reader of e.snap.
+	others := e.snap[r].Others[:0]
+	for _, j := range vis {
+		others = append(others, model.RobotView{Pos: e.pos[j], Color: e.col[j]})
 	}
 	if e.opt.SensorJitter > 0 {
 		e.jitterViews(others)

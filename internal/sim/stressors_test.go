@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"luxvis/internal/geom"
@@ -22,6 +23,8 @@ func (*beaconProbe) Name() string           { return "beacon-probe" }
 func (*beaconProbe) Palette() []model.Color { return []model.Color{model.Off, model.Beacon} }
 func (p *beaconProbe) Compute(s model.Snapshot) model.Action {
 	if len(s.Others) == 1 {
+		// Compute may not keep s.Others past the call; keep a copy.
+		s.Others = slices.Clone(s.Others)
 		p.endSnaps = append(p.endSnaps, s)
 	}
 	if len(s.Others) == 2 {
