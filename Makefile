@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-clean vet race bench-smoke fuzz-smoke alloc-guard scenarios bench-visibility bench-stream bench-check stream-soak perfbench perfbench-test check
+.PHONY: build test lint lint-clean vet race bench-smoke fuzz-smoke alloc-guard scenarios bench-visibility bench-stream bench-check stream-soak perfbench perfbench-test prodlines check
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,15 @@ perfbench:
 ## of its own, so the root `go test ./...` does not run them.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+## prodlines: non-test Go lines per top-level package (internal/X,
+## cmd/X, examples/X, and the root package) and their total — the
+## production line count that ROADMAP item 3 tracks. The benchmark
+## module (perfbench/) and its build directory are excluded.
+prodlines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { split($$2, p, "/"); k = (p[2] == "internal" || p[2] == "cmd" || p[2] == "examples") ? p[2] "/" p[3] : "."; n[k] += $$1; t += $$1 } \
+	END { for (k in n) printf "%6d  %s\n", n[k], k | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 ## check: everything a PR must pass, in fail-fast order.
 check: build vet lint test race bench-smoke fuzz-smoke scenarios

@@ -4,55 +4,58 @@ import (
 	"luxvis/internal/geom"
 )
 
+// candidateTol is the folded-angle tolerance handed to the float
+// candidate filter. An exactly collinear triple of finite float64
+// coordinates produces a folded-angle gap many orders of magnitude below
+// this, so the candidate set is a strict superset of the exactly
+// collinear triples and confirming candidates exactly decides CV exactly.
+const candidateTol = 1e-5
+
 // CompleteVisibilityAmong decides, exactly, Complete Visibility among
-// the selected subset of points with every point — selected or not —
-// acting as a potential obstruction. This is the terminal predicate of
-// crash-fault runs: survivors (selected) must be pairwise mutually
-// visible, but a halted robot's frozen body still blocks lines of
-// sight and still must not be colocated with a survivor.
+// the points marked in alive, with every point — alive or not — acting
+// as a potential obstruction. A nil alive means every point is alive:
+// the paper's goal predicate. With a mask it is the terminal predicate
+// of crash-fault runs: survivors must be pairwise mutually visible, but
+// a halted robot's frozen body still blocks lines of sight and still
+// must not be colocated with a survivor.
 //
-// Like CompleteVisibilityHybrid, it runs the float angular filter to
-// propose candidate collinear triples and confirms each over big.Rat.
-// The subtlety relative to the full predicate: a confirmed collinear
-// triple refutes subset-CV only when its two endpoints are both
-// selected and its blocker lies strictly between them — an unselected
-// endpoint's blocked sightline is irrelevant. The filter emits every
-// exactly-collinear triple once per point playing the blocker role, so
-// filtering candidates to selected endpoint pairs loses nothing.
-//
-// selected must have the same length as pts; a nil mask means all
-// selected, reducing to CompleteVisibilityHybrid's verdict.
-func CompleteVisibilityAmong(pts []geom.Point, selected []bool) bool {
-	if selected == nil {
-		return CompleteVisibilityHybrid(pts)
-	}
+// It costs O(n² log n) expected time: the float angular filter
+// (geom.CollinearCandidates) proposes candidate collinear triples and
+// each is confirmed over big.Rat. A confirmed collinear triple refutes
+// CV only when its two endpoints are both alive and its blocker lies
+// strictly between them — a dead endpoint's blocked sightline is
+// irrelevant. The filter emits every exactly-collinear triple once per
+// point playing the blocker role, so filtering candidates to live
+// endpoint pairs loses nothing.
+func CompleteVisibilityAmong(pts []geom.Point, alive []bool) bool {
+	live := func(i int) bool { return alive == nil || alive[i] }
 	eps := FromFloats(pts)
-	// Exact distinctness of every selected point against all points: a
+	// Exact distinctness of every live point against all points: a
 	// survivor sharing a position with anything (alive or crashed) is a
 	// collision, not a visibility question.
-	for i := 0; i < len(eps); i++ {
-		if !selected[i] {
-			continue
-		}
-		for j := 0; j < len(eps); j++ {
-			if j != i && eps[i].Eq(eps[j]) {
+	for i := range eps {
+		for j := i + 1; j < len(eps); j++ {
+			if (live(i) || live(j)) && eps[i].Eq(eps[j]) {
 				return false
 			}
 		}
 	}
 	for _, t := range geom.CollinearCandidates(pts, candidateTol) {
 		if t.A == t.Blocker || t.B == t.Blocker {
+			// Degenerate duplicate marker from the filter; distinctness
+			// above already handled true duplicates.
 			continue
 		}
-		if !selected[t.A] || !selected[t.B] {
+		if !live(t.A) || !live(t.B) {
 			continue
 		}
-		// Collinearity alone is not enough here: with unselected points
-		// in play the blocker must lie strictly between the selected
-		// endpoints, not merely on their line.
 		if StrictlyBetween(eps[t.A], eps[t.B], eps[t.Blocker]) {
 			return false
 		}
 	}
 	return true
 }
+
+// CompleteVisibilityHybrid is CompleteVisibilityAmong with every point
+// alive.
+func CompleteVisibilityHybrid(pts []geom.Point) bool { return CompleteVisibilityAmong(pts, nil) }

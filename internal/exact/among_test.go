@@ -7,9 +7,16 @@ import (
 	"luxvis/internal/geom"
 )
 
-// bruteAmong is the O(n³) reference: selected points pairwise distinct
-// from everything and mutually visible with all points as obstructions.
+// bruteAmong is the O(n³) exact reference: selected points pairwise
+// distinct from everything and mutually visible with all points as
+// obstructions. A nil selected means every point is selected.
 func bruteAmong(pts []geom.Point, selected []bool) bool {
+	if selected == nil {
+		selected = make([]bool, len(pts))
+		for i := range selected {
+			selected[i] = true
+		}
+	}
 	eps := FromFloats(pts)
 	for i := range eps {
 		if !selected[i] {
@@ -65,6 +72,13 @@ func TestCompleteVisibilityAmong(t *testing.T) {
 		{"square all selected",
 			[]geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4)},
 			[]bool{true, true, true, true}, true},
+		{"nil mask, line", line, nil, false},
+		{"nil mask, square",
+			[]geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4)},
+			nil, true},
+		{"nil mask, coincident pair",
+			[]geom.Point{geom.Pt(0, 0), geom.Pt(0, 0), geom.Pt(2, 3)},
+			nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,11 +89,6 @@ func TestCompleteVisibilityAmong(t *testing.T) {
 				t.Fatalf("brute reference disagrees with the case's want=%v", tc.want)
 			}
 		})
-	}
-
-	// Nil mask falls back to the full-swarm hybrid predicate.
-	if CompleteVisibilityAmong(line, nil) != CompleteVisibilityHybrid(line) {
-		t.Fatalf("nil mask must match CompleteVisibilityHybrid")
 	}
 }
 
@@ -95,9 +104,12 @@ func TestCompleteVisibilityAmongDifferential(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Pt(float64(rng.Intn(5)), float64(rng.Intn(5)))
 		}
-		selected := make([]bool, n)
-		for i := range selected {
-			selected[i] = rng.Intn(4) != 0
+		var selected []bool
+		if trial%4 != 0 { // every fourth trial: nil mask, all selected
+			selected = make([]bool, n)
+			for i := range selected {
+				selected[i] = rng.Intn(4) != 0
+			}
 		}
 		got := CompleteVisibilityAmong(pts, selected)
 		want := bruteAmong(pts, selected)

@@ -105,40 +105,6 @@ func absCmp(x, y *big.Rat) int {
 	return ax.Cmp(ay)
 }
 
-// Visible reports, exactly, whether points i and j of pts see each other.
-func Visible(pts []Point, i, j int) bool {
-	if i == j || pts[i].Eq(pts[j]) {
-		return false
-	}
-	for k := range pts {
-		if k == i || k == j {
-			continue
-		}
-		if StrictlyBetween(pts[i], pts[j], pts[k]) {
-			return false
-		}
-	}
-	return true
-}
-
-// CompleteVisibility reports, exactly, whether all points are distinct
-// and pairwise mutually visible.
-func CompleteVisibility(pts []Point) bool {
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Eq(pts[j]) || !Visible(pts, i, j) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CompleteVisibilityFloat is the convenience form over float points.
-func CompleteVisibilityFloat(pts []geom.Point) bool {
-	return CompleteVisibility(FromFloats(pts))
-}
-
 // SegmentsProperlyCross reports, exactly, whether the open segments
 // (a1,b1) and (a2,b2) cross at a point interior to both. Shared endpoints
 // and collinear overlaps are not proper crossings (the engine classifies
@@ -189,93 +155,4 @@ func SegmentsOverlap(a1, b1, a2, b2 Point) bool {
 		minHi = hi2
 	}
 	return maxLo.Cmp(minHi) < 0
-}
-
-// PointOnOpenSegment is OnSegment restricted to the open interior and is
-// exported for the engine's "moving robot passes through a stationary
-// robot" check.
-func PointOnOpenSegment(a, b, m Point) bool { return StrictlyBetween(a, b, m) }
-
-// StrictlyConvexPosition reports, exactly, whether the points are
-// distinct, no three are collinear in a blocking way, and every point is
-// a corner of the convex hull. It is equivalent to CompleteVisibility
-// plus hull-corner membership; the engine asserts the equivalence in
-// tests and uses CompleteVisibility as the terminal predicate.
-func StrictlyConvexPosition(pts []Point) bool {
-	n := len(pts)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pts[i].Eq(pts[j]) {
-				return false
-			}
-		}
-	}
-	if n <= 2 {
-		return true
-	}
-	// A point set is in strictly convex position iff no point lies in
-	// the convex hull of the others. Testing "p inside or on hull of
-	// rest" exactly: p is NOT a strict corner iff p is a convex
-	// combination of others, which for our purposes reduces to: there
-	// exist two others a, b with p on segment [a,b], or p strictly
-	// inside a triangle of others. O(n^4) worst case is fine at checker
-	// scale; use the triangle test.
-	for i := 0; i < n; i++ {
-		if !isStrictCorner(pts, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// isStrictCorner reports whether pts[i] is a strict corner of the hull of
-// pts: not inside or on the boundary of any triangle/segment of other
-// points.
-func isStrictCorner(pts []Point, i int) bool {
-	p := pts[i]
-	n := len(pts)
-	for a := 0; a < n; a++ {
-		if a == i {
-			continue
-		}
-		for b := a + 1; b < n; b++ {
-			if b == i {
-				continue
-			}
-			if OnSegment(pts[a], pts[b], p) {
-				return false
-			}
-		}
-	}
-	// Triangle containment: p strictly inside triangle (a,b,c).
-	for a := 0; a < n; a++ {
-		if a == i {
-			continue
-		}
-		for b := a + 1; b < n; b++ {
-			if b == i {
-				continue
-			}
-			for c := b + 1; c < n; c++ {
-				if c == i {
-					continue
-				}
-				if inTriangle(pts[a], pts[b], pts[c], p) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// inTriangle reports whether p lies strictly inside triangle abc.
-func inTriangle(a, b, c, p Point) bool {
-	o1 := OrientSign(a, b, p)
-	o2 := OrientSign(b, c, p)
-	o3 := OrientSign(c, a, p)
-	if o1 == 0 || o2 == 0 || o3 == 0 {
-		return false
-	}
-	return o1 == o2 && o2 == o3
 }

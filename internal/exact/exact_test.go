@@ -47,23 +47,26 @@ func TestStrictlyBetweenExact(t *testing.T) {
 }
 
 func TestVisibleAndCV(t *testing.T) {
-	line := []Point{fp(0, 0), fp(5, 0), fp(10, 0)}
-	if Visible(line, 0, 2) {
-		t.Error("blocked pair visible")
+	line := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)}
+	cases := []struct {
+		name  string
+		pts   []geom.Point
+		alive []bool
+		want  bool
+	}{
+		{"blocked pair", line, []bool{true, false, true}, false},
+		{"adjacent pair", line, []bool{true, true, false}, true},
+		{"line", line, nil, false},
+		{"triangle", []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(2, 3)}, nil, true},
+		{"duplicates", []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1)}, nil, false},
 	}
-	if !Visible(line, 0, 1) {
-		t.Error("adjacent pair not visible")
-	}
-	if CompleteVisibility(line) {
-		t.Error("line reported CV")
-	}
-	tri := []Point{fp(0, 0), fp(4, 0), fp(2, 3)}
-	if !CompleteVisibility(tri) {
-		t.Error("triangle not CV")
-	}
-	dup := []Point{fp(1, 1), fp(1, 1)}
-	if CompleteVisibility(dup) {
-		t.Error("duplicates reported CV")
+	for _, tc := range cases {
+		if got := CompleteVisibilityAmong(tc.pts, tc.alive); got != tc.want {
+			t.Errorf("%s: CompleteVisibilityAmong = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := bruteAmong(tc.pts, tc.alive); got != tc.want {
+			t.Errorf("%s: brute reference = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -97,21 +100,6 @@ func TestSegmentsOverlap(t *testing.T) {
 	}
 }
 
-func TestStrictlyConvexPositionExact(t *testing.T) {
-	tri := []Point{fp(0, 0), fp(4, 0), fp(2, 3)}
-	if !StrictlyConvexPosition(tri) {
-		t.Error("triangle rejected")
-	}
-	withInterior := []Point{fp(0, 0), fp(4, 0), fp(2, 3), fp(2, 1)}
-	if StrictlyConvexPosition(withInterior) {
-		t.Error("interior point accepted")
-	}
-	collinear := []Point{fp(0, 0), fp(2, 0), fp(4, 0)}
-	if StrictlyConvexPosition(collinear) {
-		t.Error("collinear points accepted")
-	}
-}
-
 // Hybrid checker agrees with the full exact predicate on random and
 // degenerate configurations.
 func TestHybridAgreesWithExact(t *testing.T) {
@@ -129,7 +117,7 @@ func TestHybridAgreesWithExact(t *testing.T) {
 			m := pts[0].Mid(pts[1])
 			pts[2] = geom.Pt(m.X, m.Y+1e-11)
 		}
-		full := CompleteVisibility(FromFloats(pts))
+		full := bruteAmong(pts, nil)
 		hybrid := CompleteVisibilityHybrid(pts)
 		if full != hybrid {
 			t.Fatalf("trial %d: full=%v hybrid=%v for %v", trial, full, hybrid, pts)
@@ -151,12 +139,14 @@ func TestExactResolvesBelowFloatEps(t *testing.T) {
 	}
 }
 
+// A single pair is blocked exactly when Complete Visibility fails among
+// just that pair, with every other point obstructing.
 func TestBlockedPairExact(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)}
-	if !BlockedPairExact(pts, 0, 2) {
+	if CompleteVisibilityAmong(pts, []bool{true, false, true}) {
 		t.Error("blocked pair not detected")
 	}
-	if BlockedPairExact(pts, 0, 1) {
+	if !CompleteVisibilityAmong(pts, []bool{true, true, false}) {
 		t.Error("visible pair reported blocked")
 	}
 }

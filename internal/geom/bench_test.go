@@ -50,13 +50,17 @@ func BenchmarkVisibleFromNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkCompleteVisibilityFast(b *testing.B) {
+func BenchmarkSnapshotCompleteVisibility(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(sizeName(n), func(b *testing.B) {
 			pts := benchPoints(n, 3)
+			kern := NewKernel(1)
+			defer kern.Close()
+			snap := kern.NewSnapshot()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = CompleteVisibilityFast(pts)
+				snap.Reset(pts)
+				_ = snap.CompleteVisibility(nil)
 			}
 		})
 	}

@@ -68,7 +68,7 @@ func TestArcStrictlyConvex(t *testing.T) {
 	if !StrictlyConvexPosition(pts) {
 		t.Fatal("arc samples not strictly convex")
 	}
-	if !CompleteVisibility(pts) {
+	if !CompleteVisibilityNaive(pts, nil) {
 		t.Fatal("arc samples not completely visible")
 	}
 }

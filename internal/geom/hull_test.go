@@ -208,7 +208,7 @@ func TestCirclePointsStrictlyConvex(t *testing.T) {
 		if !StrictlyConvexPosition(pts) {
 			t.Fatalf("circle points not strictly convex (n=%d)", n)
 		}
-		if !CompleteVisibility(pts) {
+		if !CompleteVisibilityNaive(pts, nil) {
 			t.Fatalf("circle points not completely visible (n=%d)", n)
 		}
 	}

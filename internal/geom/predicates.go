@@ -179,7 +179,3 @@ func DistToLine(a, b, p Point) float64 {
 	proj, _ := ProjectOntoLine(a, b, p)
 	return p.Dist(proj)
 }
-
-// SideOfLine returns which side of the directed line a→b the point p lies
-// on: CCW for the left half-plane, CW for the right, Collinear on the line.
-func SideOfLine(a, b, p Point) Orientation { return Orient(a, b, p) }

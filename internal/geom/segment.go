@@ -28,9 +28,6 @@ func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
 // Mid returns the midpoint of the segment.
 func (s Segment) Mid() Point { return s.A.Mid(s.B) }
 
-// IsDegenerate reports whether the endpoints coincide.
-func (s Segment) IsDegenerate() bool { return s.A.Eq(s.B) }
-
 // String formats the segment for diagnostics.
 func (s Segment) String() string { return fmt.Sprintf("[%v -> %v]", s.A, s.B) }
 
@@ -55,12 +52,6 @@ func (s Segment) Dist(p Point) float64 {
 
 // Contains reports whether p lies on the closed segment within tolerance.
 func (s Segment) Contains(p Point) bool { return s.Dist(p) <= Eps }
-
-// ContainsInterior reports whether p lies on the segment strictly between
-// the endpoints.
-func (s Segment) ContainsInterior(p Point) bool {
-	return StrictlyBetween(s.A, s.B, p)
-}
 
 // IntersectKind classifies how two segments meet.
 type IntersectKind int
@@ -153,13 +144,6 @@ func (s Segment) Intersect(u Segment) (IntersectKind, Point) {
 	return Overlapping, uniq[0].p
 }
 
-// ProperlyCrosses reports whether s and u cross at a point interior to
-// both segments.
-func (s Segment) ProperlyCrosses(u Segment) bool {
-	k, _ := s.Intersect(u)
-	return k == ProperCrossing
-}
-
 // lineLineIntersection intersects the infinite lines through (a,b) and
 // (c,d). ok is false when the lines are parallel within tolerance.
 func lineLineIntersection(a, b, c, d Point) (Point, bool) {
@@ -171,20 +155,4 @@ func lineLineIntersection(a, b, c, d Point) (Point, bool) {
 	}
 	t := c.Sub(a).Cross(s) / den
 	return a.Add(r.Mul(t)), true
-}
-
-// LineIntersection exposes lineLineIntersection: the intersection of the
-// infinite lines through (a,b) and (c,d), with ok=false for parallels.
-func LineIntersection(a, b, c, d Point) (Point, bool) {
-	return lineLineIntersection(a, b, c, d)
-}
-
-// SegDist returns the minimum distance between the two closed segments.
-func SegDist(s, u Segment) float64 {
-	if k, _ := s.Intersect(u); k != NoIntersection {
-		return 0
-	}
-	d := math.Min(s.Dist(u.A), s.Dist(u.B))
-	d = math.Min(d, u.Dist(s.A))
-	return math.Min(d, u.Dist(s.B))
 }

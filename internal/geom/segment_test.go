@@ -17,12 +17,6 @@ func TestSegmentBasics(t *testing.T) {
 	if !s.At(0).Eq(s.A) || !s.At(1).Eq(s.B) {
 		t.Error("At endpoints wrong")
 	}
-	if s.IsDegenerate() {
-		t.Error("non-degenerate segment reported degenerate")
-	}
-	if !Seg(Pt(1, 1), Pt(1, 1)).IsDegenerate() {
-		t.Error("degenerate segment not reported")
-	}
 }
 
 func TestClosestPoint(t *testing.T) {
@@ -92,25 +86,12 @@ func TestProperCrossingPoint(t *testing.T) {
 }
 
 func TestLineIntersection(t *testing.T) {
-	p, ok := LineIntersection(Pt(0, 0), Pt(1, 0), Pt(5, -3), Pt(5, 9))
+	p, ok := lineLineIntersection(Pt(0, 0), Pt(1, 0), Pt(5, -3), Pt(5, 9))
 	if !ok || !p.Eq(Pt(5, 0)) {
-		t.Errorf("LineIntersection = %v,%v", p, ok)
+		t.Errorf("lineLineIntersection = %v,%v", p, ok)
 	}
-	if _, ok := LineIntersection(Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(1, 1)); ok {
+	if _, ok := lineLineIntersection(Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(1, 1)); ok {
 		t.Error("parallel lines reported as intersecting")
-	}
-}
-
-func TestSegDist(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	u := Seg(Pt(0, 3), Pt(10, 3))
-	if got := SegDist(s, u); !almostEq(got, 3) {
-		t.Errorf("parallel SegDist = %v", got)
-	}
-	x := Seg(Pt(0, 0), Pt(10, 10))
-	y := Seg(Pt(0, 10), Pt(10, 0))
-	if got := SegDist(x, y); got != 0 {
-		t.Errorf("crossing SegDist = %v", got)
 	}
 }
 
@@ -135,13 +116,15 @@ func TestCrossingPointOnBoth(t *testing.T) {
 	}
 }
 
-// Property: ProperlyCrosses is symmetric.
+// Property: a proper crossing is symmetric in the operands.
 func TestProperlyCrossesSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 3000; i++ {
 		s := Seg(randPt(rng), randPt(rng))
 		u := Seg(randPt(rng), randPt(rng))
-		if s.ProperlyCrosses(u) != u.ProperlyCrosses(s) {
+		ks, _ := s.Intersect(u)
+		ku, _ := u.Intersect(s)
+		if (ks == ProperCrossing) != (ku == ProperCrossing) {
 			t.Fatalf("asymmetric crossing verdict for %v vs %v", s, u)
 		}
 	}
@@ -153,10 +136,10 @@ func randPt(rng *rand.Rand) Point {
 
 func TestContainsInterior(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(10, 0))
-	if !s.ContainsInterior(Pt(5, 0)) {
+	if !StrictlyBetween(s.A, s.B, Pt(5, 0)) {
 		t.Error("interior point rejected")
 	}
-	if s.ContainsInterior(Pt(0, 0)) || s.ContainsInterior(Pt(10, 0)) {
+	if StrictlyBetween(s.A, s.B, Pt(0, 0)) || StrictlyBetween(s.A, s.B, Pt(10, 0)) {
 		t.Error("endpoint accepted as interior")
 	}
 	if got := s.Dist(Pt(5, 2)); !almostEq(got, 2) {

@@ -1,104 +1,10 @@
 package geom
 
-// This file implements the obstructed-visibility predicates of the robots
-// with lights model: robot k blocks i from j iff k lies strictly inside
-// the open segment (i, j). Complete Visibility holds when every pair is
-// mutually visible.
-
-// Visible reports whether points i and j of pts see each other: no third
-// point lies strictly between them. Coincident points never see each
-// other (they violate the model's distinctness invariant anyway).
-func Visible(pts []Point, i, j int) bool {
-	if i == j {
-		return false
-	}
-	a, b := pts[i], pts[j]
-	if a.Eq(b) {
-		return false
-	}
-	for k, p := range pts {
-		if k == i || k == j {
-			continue
-		}
-		if StrictlyBetween(a, b, p) {
-			return false
-		}
-	}
-	return true
-}
-
-// VisibleFrom returns the indices of all points visible from point i,
-// in increasing index order.
-func VisibleFrom(pts []Point, i int) []int {
-	var out []int
-	for j := range pts {
-		if j != i && Visible(pts, i, j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// VisibilityCount returns the number of mutually visible pairs among pts.
-func VisibilityCount(pts []Point) int {
-	n := 0
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if Visible(pts, i, j) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// CompleteVisibility reports whether every pair of points is mutually
-// visible. This is the goal predicate of the paper. For n ≤ 1 it holds
-// trivially.
-func CompleteVisibility(pts []Point) bool {
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Eq(pts[j]) {
-				return false
-			}
-			if !Visible(pts, i, j) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Blockers returns the indices of points that block i from j (points
-// strictly between them).
-func Blockers(pts []Point, i, j int) []int {
-	var out []int
-	a, b := pts[i], pts[j]
-	for k, p := range pts {
-		if k == i || k == j {
-			continue
-		}
-		if StrictlyBetween(a, b, p) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// BlockedPairs returns every ordered-once pair (i < j) that is not
-// mutually visible. Used by the metrics module to chart visibility-graph
-// densification over a run.
-func BlockedPairs(pts []Point) [][2]int {
-	var out [][2]int
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if !Visible(pts, i, j) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
+// This file holds the open-corridor predicate of the robots with lights
+// model. The visibility predicates proper are in visible_set.go (one
+// row) and viskernel.go (all rows, and Complete Visibility read from
+// them): robot k blocks i from j iff k lies strictly inside the open
+// segment (i, j).
 
 // PathClear reports whether the open corridor from `from` to `to` is free
 // of every point in obstacles: no obstacle lies strictly inside the

@@ -5,9 +5,8 @@ import (
 	"slices"
 )
 
-// This file implements the O(n² log n) Complete Visibility check used by
-// the engine at epoch boundaries, where the naive O(n³) predicate would
-// dominate the run time at swarm sizes in the thousands.
+// This file implements the folded-direction collinearity scan behind
+// the exact Complete Visibility check (exact.CompleteVisibilityAmong).
 //
 // The key observation: Complete Visibility fails iff some robot k has two
 // other robots collinear with it — if i and j lie on one line through k,
@@ -54,35 +53,32 @@ func foldTol(minD2, maxL1 float64) (tol float64, ok bool) {
 	return bound, true
 }
 
-// Triple records a collinear triple (A, B, Blocker): Blocker lies on the
-// line through A and B (not necessarily between them).
+// Triple records a candidate collinear triple (A, B, Blocker): Blocker
+// may lie on the line through A and B (not necessarily between them).
 type Triple struct {
 	A, B, Blocker int
 }
 
-// CollinearTriples returns, for each point k, the (i, j) pairs whose
-// directions from k fold to the same angle and that pass the
-// cross-product collinearity confirmation. If the result is empty the
-// point set has no three collinear points and Complete Visibility holds.
-// maxTriples truncates the scan (0 = unlimited) since one triple already
-// refutes CV.
-func CollinearTriples(pts []Point, maxTriples int) []Triple {
-	return collinearScan(pts, 0, true, maxTriples)
-}
-
-// CollinearCandidates is the unconfirmed variant of CollinearTriples: it
-// returns every pair whose folded directions agree within tol, without
-// the float collinearity confirmation. The exact checker uses it as a
-// superset filter: every exactly-collinear triple has a folded-angle gap
-// far below any reasonable tol, so confirming only the candidates with
-// exact arithmetic decides Complete Visibility exactly. tol acts as a
+// CollinearCandidates returns, for each point k, every pair whose
+// directions from k fold to the same angle within tol, as a Triple with
+// k as Blocker, without any collinearity confirmation. A point that
+// coincides with k is reported as the degenerate Triple{A: k, B: j,
+// Blocker: j}. The exact checker uses it as a superset filter: every
+// exactly-collinear triple has a folded-angle gap far below any
+// reasonable tol, so confirming only the candidates with exact
+// arithmetic decides Complete Visibility exactly. tol acts as a
 // floor — per observer the scan widens it to the scale-aware foldTol
 // bound, so the superset contract holds at any coordinate magnitude.
 func CollinearCandidates(pts []Point, tol float64) []Triple {
 	if tol <= 0 {
 		tol = angleFoldTol
 	}
-	return collinearScan(pts, tol, false, 0)
+	var out []Triple
+	dirs := make([]dir, 0, len(pts))
+	for k := range pts {
+		dirs, out = collinearObserver(pts, k, tol, dirs, out)
+	}
+	return out
 }
 
 // dir is one folded direction from a scan observer.
@@ -94,12 +90,12 @@ type dir struct {
 // collinearObserver scans a single observer k: it folds the directions of
 // all other points modulo π, clusters them circularly (the runs near 0
 // and near π chain across the fold, mirroring the ±π branch cut handling
-// of visibleRow), and calls emit for every pair within a run. Degenerate
-// pairs (coincident with k) and observers whose adaptive tolerance
-// blows past maxFoldTol emit with confirmable=false / all pairs
-// respectively. dirs is reusable caller-owned scratch. A true return
-// from emit stops the scan and propagates.
-func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit func(a, b int, confirmable bool) bool) ([]dir, bool) {
+// of visibleRow), and appends a Triple with k as Blocker to out for every
+// pair within a run. Points coincident with k append the degenerate
+// Triple{A: k, B: j, Blocker: j}, and an observer whose adaptive
+// tolerance blows past maxFoldTol appends all its pairs. dirs is
+// reusable caller-owned scratch.
+func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, out []Triple) ([]dir, []Triple) {
 	dirs = dirs[:0]
 	minD2 := math.Inf(1)
 	maxL1 := 0.0
@@ -112,9 +108,7 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		if d2 == 0 {
 			// Coincident points: report as a degenerate pair so callers
 			// fail the configuration.
-			if emit(j, j, false) {
-				return dirs, true
-			}
+			out = append(out, Triple{A: k, B: j, Blocker: j})
 			continue
 		}
 		phi := pseudoAngle(d)
@@ -133,20 +127,13 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		}
 	}
 	if len(dirs) < 2 {
-		return dirs, false
+		return dirs, out
 	}
 	tol, ok := foldTol(minD2, maxL1)
 	if !ok {
 		// Degenerate observer: bucketing is meaningless, emit every pair
 		// and let the confirmation predicate decide.
-		for a := 0; a < len(dirs); a++ {
-			for b := a + 1; b < len(dirs); b++ {
-				if emit(dirs[a].idx, dirs[b].idx, true) {
-					return dirs, true
-				}
-			}
-		}
-		return dirs, false
+		return dirs, appendPairs(out, dirs, k, 0, len(dirs))
 	}
 	if tol < floorTol {
 		tol = floorTol
@@ -185,74 +172,28 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 	}
 	if start < 0 {
 		// All folded directions chain into one run.
-		for a := 0; a < m; a++ {
-			for b := a + 1; b < m; b++ {
-				if emit(dirs[a].idx, dirs[b].idx, true) {
-					return dirs, true
-				}
-			}
-		}
-		return dirs, false
+		return dirs, appendPairs(out, dirs, k, 0, m)
 	}
 	for consumed, lo := 0, start; consumed < m; {
 		runLen := 1
 		for consumed+runLen < m && gapAfter((lo+runLen-1)%m) < tol {
 			runLen++
 		}
-		for a := 0; a < runLen; a++ {
-			for b := a + 1; b < runLen; b++ {
-				if emit(dirs[(lo+a)%m].idx, dirs[(lo+b)%m].idx, true) {
-					return dirs, true
-				}
-			}
-		}
+		out = appendPairs(out, dirs, k, lo, runLen)
 		consumed += runLen
 		lo = (lo + runLen) % m
 	}
-	return dirs, false
+	return dirs, out
 }
 
-func collinearScan(pts []Point, floorTol float64, confirm bool, maxTriples int) []Triple {
-	n := len(pts)
-	var out []Triple
-	dirs := make([]dir, 0, n)
-	for k := 0; k < n; k++ {
-		var stop bool
-		dirs, stop = collinearObserver(pts, k, floorTol, dirs, func(a, b int, confirmable bool) bool {
-			if confirmable && confirm && !AreCollinear(pts[k], pts[a], pts[b]) {
-				return false
-			}
-			if !confirmable {
-				// Coincident pair (k, a): preserve the degenerate-triple
-				// shape with the duplicate as blocker.
-				out = append(out, Triple{A: k, B: a, Blocker: b})
-				return false
-			}
-			out = append(out, Triple{A: a, B: b, Blocker: k})
-			return maxTriples > 0 && len(out) >= maxTriples
-		})
-		if stop {
-			return out
+// appendPairs appends every pair of the circular run of runLen
+// directions starting at dirs[lo] to out, with k as Blocker.
+func appendPairs(out []Triple, dirs []dir, k, lo, runLen int) []Triple {
+	m := len(dirs)
+	for a := 0; a < runLen; a++ {
+		for b := a + 1; b < runLen; b++ {
+			out = append(out, Triple{A: dirs[(lo+a)%m].idx, B: dirs[(lo+b)%m].idx, Blocker: k})
 		}
 	}
 	return out
-}
-
-// CompleteVisibilityFast reports whether all points are distinct and
-// pairwise mutually visible, in O(n² log n). It agrees with
-// CompleteVisibility up to float tolerance; the engine's terminal
-// verification re-confirms suspicious triples with exact arithmetic.
-// Kernel.CompleteVisibilityFast is the multi-core variant with an
-// identical verdict.
-func CompleteVisibilityFast(pts []Point) bool {
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Eq(pts[j]) {
-				return false
-			}
-		}
-	}
-	// Any collinear triple implies some blocked pair (see file comment),
-	// and CV requires none.
-	return len(CollinearTriples(pts, 1)) == 0
 }

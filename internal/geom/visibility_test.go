@@ -2,75 +2,93 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 func TestVisibleBasic(t *testing.T) {
 	// 0 --- 1 --- 2 on a line: 1 blocks 0 from 2.
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0)}
-	if !Visible(pts, 0, 1) || !Visible(pts, 1, 2) {
-		t.Error("adjacent points should see each other")
-	}
-	if Visible(pts, 0, 2) {
-		t.Error("blocked pair reported visible")
-	}
-	if Visible(pts, 0, 0) {
-		t.Error("self-visibility should be false")
+	want := [][]int{{1}, {0, 2}, {1}}
+	for i := range pts {
+		if got := VisibleSetFast(pts, i); !slices.Equal(got, want[i]) {
+			t.Errorf("VisibleSetFast(line, %d) = %v, want %v (adjacent pairs visible, 0-2 blocked, never self)", i, got, want[i])
+		}
 	}
 }
 
 func TestVisibleCoincident(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(0, 0)}
-	if Visible(pts, 0, 1) {
-		t.Error("coincident points reported visible")
+	if got := VisibleSetFast(pts, 0); len(got) != 0 {
+		t.Errorf("coincident points reported visible: %v", got)
 	}
 }
 
 func TestVisibleFromAndBlockers(t *testing.T) {
+	// Point 1 blocks 0 from 2; 3 is off the line.
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0), Pt(5, 5)}
-	vis := VisibleFrom(pts, 0)
 	want := []int{1, 3}
-	if len(vis) != len(want) {
-		t.Fatalf("VisibleFrom = %v", vis)
+	if vis := VisibleFrom(pts, 0); !slices.Equal(vis, want) {
+		t.Fatalf("VisibleFrom = %v, want %v", vis, want)
 	}
-	for i := range want {
-		if vis[i] != want[i] {
-			t.Fatalf("VisibleFrom = %v, want %v", vis, want)
-		}
-	}
-	bl := Blockers(pts, 0, 2)
-	if len(bl) != 1 || bl[0] != 1 {
-		t.Errorf("Blockers = %v", bl)
+	if vis := VisibleSetFast(pts, 0); !slices.Equal(vis, want) {
+		t.Fatalf("VisibleSetFast = %v, want %v", vis, want)
 	}
 }
 
+// snapshotCV loads pts into a fresh snapshot and reads Complete
+// Visibility off its rows.
+func snapshotCV(pts []Point, alive []bool) bool {
+	k := NewKernel(1)
+	defer k.Close()
+	s := k.NewSnapshot()
+	s.Reset(pts)
+	return s.CompleteVisibility(alive)
+}
+
 func TestCompleteVisibility(t *testing.T) {
-	if !CompleteVisibility([]Point{Pt(0, 0), Pt(4, 0), Pt(2, 4)}) {
-		t.Error("triangle not CV")
+	line := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0)}
+	cases := []struct {
+		name  string
+		pts   []Point
+		alive []bool
+		want  bool
+	}{
+		{"triangle", []Point{Pt(0, 0), Pt(4, 0), Pt(2, 4)}, nil, true},
+		{"line", line, nil, false},
+		{"duplicate points", []Point{Pt(0, 0), Pt(0, 0)}, nil, false},
+		{"single point", []Point{Pt(1, 1)}, nil, true},
+		{"empty", nil, nil, true},
+		// Interior point in general position: CV without convex position.
+		{"interior point", []Point{Pt(0, 0), Pt(10, 0), Pt(5, 10), Pt(5, 3)}, nil, true},
+		{"line, crashed middle still obstructs", line, []bool{true, false, true}, false},
+		{"line, crashed end", line, []bool{true, true, false}, true},
+		{"line, all alive", line, []bool{true, true, true}, false},
+		{"duplicate of a crashed robot", []Point{Pt(0, 0), Pt(0, 0), Pt(3, 1)}, []bool{true, false, true}, true},
 	}
-	if CompleteVisibility([]Point{Pt(0, 0), Pt(5, 0), Pt(10, 0)}) {
-		t.Error("line reported CV")
-	}
-	if CompleteVisibility([]Point{Pt(0, 0), Pt(0, 0)}) {
-		t.Error("duplicate points reported CV")
-	}
-	if !CompleteVisibility([]Point{Pt(1, 1)}) || !CompleteVisibility(nil) {
-		t.Error("trivial sets must be CV")
-	}
-	// Interior point in general position: CV without convex position.
-	if !CompleteVisibility([]Point{Pt(0, 0), Pt(10, 0), Pt(5, 10), Pt(5, 3)}) {
-		t.Error("general-position set with interior point should be CV")
+	for _, tc := range cases {
+		if got := snapshotCV(tc.pts, tc.alive); got != tc.want {
+			t.Errorf("%s: Snapshot.CompleteVisibility(%v) = %v, want %v", tc.name, tc.alive, got, tc.want)
+		}
+		if got := CompleteVisibilityNaive(tc.pts, tc.alive); got != tc.want {
+			t.Errorf("%s: reference = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestVisibilityCountAndBlockedPairs(t *testing.T) {
+	// Two visible pairs, and the blocked pair (0, 2) is the one missing
+	// from the rows.
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0)}
-	if got := VisibilityCount(pts); got != 2 {
-		t.Errorf("VisibilityCount = %d", got)
+	seen := 0
+	for i := range pts {
+		seen += len(VisibleSetFast(pts, i))
 	}
-	bp := BlockedPairs(pts)
-	if len(bp) != 1 || bp[0] != [2]int{0, 2} {
-		t.Errorf("BlockedPairs = %v", bp)
+	if got := seen / 2; got != 2 {
+		t.Errorf("visible pairs = %d, want 2", got)
+	}
+	if slices.Contains(VisibleSetFast(pts, 0), 2) || slices.Contains(VisibleSetFast(pts, 2), 0) {
+		t.Error("blocked pair (0, 2) present in the rows")
 	}
 }
 
@@ -98,7 +116,6 @@ func TestPathClear(t *testing.T) {
 
 func TestCompleteVisibilityFastAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	agree := 0
 	for trial := 0; trial < 300; trial++ {
 		n := 3 + rng.Intn(20)
 		pts := make([]Point, n)
@@ -109,15 +126,17 @@ func TestCompleteVisibilityFastAgreesWithNaive(t *testing.T) {
 		if trial%2 == 0 && n >= 3 {
 			pts[2] = pts[0].Mid(pts[1])
 		}
-		naive := CompleteVisibility(pts)
-		fast := CompleteVisibilityFast(pts)
-		if naive != fast {
-			t.Fatalf("disagreement on %v: naive=%v fast=%v", pts, naive, fast)
+		var alive []bool
+		if trial%3 == 0 {
+			alive = make([]bool, n)
+			for i := range alive {
+				alive[i] = rng.Intn(3) != 0
+			}
 		}
-		agree++
-	}
-	if agree == 0 {
-		t.Fatal("no trials ran")
+		naive := CompleteVisibilityNaive(pts, alive)
+		if got := snapshotCV(pts, alive); got != naive {
+			t.Fatalf("disagreement on %v alive=%v: naive=%v snapshot=%v", pts, alive, naive, got)
+		}
 	}
 }
 
@@ -151,23 +170,21 @@ func TestVisibleSetFastAgreesWithNaive(t *testing.T) {
 
 func TestCollinearTriples(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0), Pt(3, 7)}
-	triples := CollinearTriples(pts, 0)
-	if len(triples) == 0 {
-		t.Fatal("collinear triple not detected")
-	}
+	triples := CollinearCandidates(pts, 0)
 	// The blocked configuration must be detected from the blocker's
-	// perspective: some triple must name point 1 (the middle).
+	// perspective: some candidate must name point 1 (the middle) as the
+	// blocker of the outer pair.
 	found := false
 	for _, tr := range triples {
-		if tr.Blocker == 1 || tr.A == 1 || tr.B == 1 {
+		if tr.Blocker == 1 && (tr.A == 0 && tr.B == 2 || tr.A == 2 && tr.B == 0) {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("middle point absent from triples %v", triples)
+		t.Errorf("outer pair through the middle absent from candidates %v", triples)
 	}
-	if got := CollinearTriples([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
-		t.Errorf("triangle produced triples %v", got)
+	if got := CollinearCandidates([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
+		t.Errorf("triangle produced candidates %v", got)
 	}
 }
 

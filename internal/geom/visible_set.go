@@ -192,7 +192,7 @@ func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 		// Degenerate observer (some point nearly coincident with it): no
 		// angular tolerance can bound the obstruction cone, so fall back
 		// to the quadratic confirmation over all rays at once. This is
-		// exactly the O(n²) reference semantics of VisibleFrom.
+		// exactly the semantics of the O(n²) reference the tests use.
 		markRunVerdicts(pts, self, rays, mask)
 		return emitMask(mask, out)
 	}
@@ -286,8 +286,9 @@ func emitMask(mask []byte, out []int) []int {
 // O(n log n): points are bucketed by their ray direction from pts[i];
 // within a bucket of collinear same-side points only the nearest is
 // visible, and points collinear through pts[i] on opposite sides do not
-// obstruct each other. The result matches VisibleFrom (the O(n²)
-// reference) and the equivalence is property-tested and fuzzed.
+// obstruct each other. The result matches the O(n²) reference
+// (VisibleFrom in the tests); the equivalence is property-tested and
+// fuzzed.
 //
 // Buckets are chained circularly, so directions straddling the negative
 // x-axis branch cut (angle +π versus −π+ε, including the -0.0
@@ -297,7 +298,7 @@ func emitMask(mask []byte, out []int) []int {
 // missed.
 //
 // Coincident points (violating the model's distinctness invariant) are
-// treated as mutually invisible, matching Visible.
+// treated as mutually invisible.
 //
 // Each call allocates its own scratch; hot paths should use a RowCache
 // or a Kernel Snapshot, which reuse arenas across calls.

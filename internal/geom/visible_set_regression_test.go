@@ -82,9 +82,11 @@ func TestVisibleSetFastNegativeXAxis(t *testing.T) {
 // fixture: at coordinates near 1e4, two points 1e-4 from a third are
 // accepted as collinear by AreCollinear (cross 5e-10 ≤ its scaled
 // tolerance) while their direction gap, 0.025 rad, is four orders of
-// magnitude above the old fixed folding tolerance — so the pre-fix
-// CollinearTriples missed the triple and CompleteVisibilityFast
-// contradicted CompleteVisibility.
+// magnitude above the old fixed folding tolerance — so a fixed-tolerance
+// scan missed the obstruction and reported Complete Visibility. The
+// snapshot's verdict must match the O(n³) reference with and without a
+// crash mask, whether its rows were filled lazily on one worker or in a
+// batch on several.
 func TestCompleteVisibilityFastLargeCoordinates(t *testing.T) {
 	k := geom.Pt(1e4, 1e4)
 	pts := []geom.Point{
@@ -92,14 +94,31 @@ func TestCompleteVisibilityFastLargeCoordinates(t *testing.T) {
 		k.Add(geom.Pt(1e-4, 0)),
 		k.Add(geom.Pt(2e-4, 5e-6)),
 	}
-	if geom.CompleteVisibility(pts) {
-		t.Fatalf("fixture is broken: the O(n³) reference should reject %v", pts)
+	masks := []struct {
+		alive []bool
+		want  bool
+	}{
+		{nil, false},                       // point 1 blocks point 2 from point 0
+		{[]bool{true, false, true}, false}, // crashed point 1 still blocks
+		{[]bool{true, true, false}, true},  // the blocked endpoint crashed
 	}
-	if geom.CompleteVisibilityFast(pts) {
-		t.Fatalf("CompleteVisibilityFast(%v) = true, but point 1 blocks point 2 from point 0", pts)
-	}
-	if len(geom.CollinearTriples(pts, 0)) == 0 {
-		t.Fatalf("CollinearTriples(%v) found nothing, want the (1, 2, blocker 0) line", pts)
+	for _, m := range masks {
+		if got := geom.CompleteVisibilityNaive(pts, m.alive); got != m.want {
+			t.Fatalf("fixture is broken: the O(n³) reference says %v for alive=%v", got, m.want)
+		}
+		for _, workers := range []int{1, 4} {
+			kern := geom.NewKernel(workers)
+			snap := kern.NewSnapshot()
+			snap.Reset(pts)
+			if workers > 1 {
+				snap.ComputeAll()
+			}
+			if got := snap.CompleteVisibility(m.alive); got != m.want {
+				t.Fatalf("Snapshot.CompleteVisibility(%v, alive=%v) on %d workers = %v, want %v",
+					pts, m.alive, workers, got, m.want)
+			}
+			kern.Close()
+		}
 	}
 	for i := range pts {
 		fast := geom.VisibleSetFast(pts, i)

@@ -4,14 +4,13 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the batched visibility kernel: a worker pool with
 // per-worker arenas that computes all n visible sets of a configuration
-// in one parallel pass, an incrementally-maintained Snapshot that reuses
-// rows across single-robot moves (the common ASYNC case), and a parallel
-// variant of the Complete Visibility check. All row computation funnels
+// in one parallel pass, and an incrementally-maintained Snapshot that
+// reuses rows across single-robot moves (the common ASYNC case) and
+// reads Complete Visibility off those rows. All row computation funnels
 // through rowArena.visibleRow, so kernel results are identical — not just
 // equivalent — to VisibleSetFast.
 
@@ -34,23 +33,8 @@ const (
 // never write shared memory).
 type kernelArena struct {
 	row          rowArena
-	dirs         []dir
 	rowsComputed int64
 	rowsReused   int64
-
-	// cvEmit is the persistent collinearObserver callback for CV scans,
-	// built once per arena so the steady state allocates nothing; it
-	// reads the observer and points through cvObs/cvPts.
-	cvEmit func(x, y int, confirmable bool) bool
-	cvObs  int
-	cvPts  []Point
-}
-
-// kernelJob is one batch dispatched to every worker: a snapshot row fill
-// when snap is set, a Complete Visibility scan over pts otherwise.
-type kernelJob struct {
-	snap *Snapshot
-	pts  []Point
 }
 
 // Kernel owns the worker pool and arenas for batched visibility
@@ -62,11 +46,10 @@ type kernelJob struct {
 type Kernel struct {
 	workers int
 	arenas  []kernelArena
-	jobs    []chan kernelJob
+	jobs    []chan *Snapshot
 	wg      sync.WaitGroup
 	started bool
 	closed  bool
-	cvFound atomic.Bool
 }
 
 // NewKernel returns a kernel with the given number of workers;
@@ -105,33 +88,30 @@ func (k *Kernel) start() {
 		return
 	}
 	k.started = true
-	k.jobs = make([]chan kernelJob, k.workers)
+	k.jobs = make([]chan *Snapshot, k.workers)
 	for w := range k.jobs {
 		// Buffered by one so dispatch never blocks: the dispatcher joins
 		// every batch before issuing the next, so at most one job is ever
 		// in flight per worker.
-		k.jobs[w] = make(chan kernelJob, 1)
+		k.jobs[w] = make(chan *Snapshot, 1)
 		go k.worker(w)
 	}
 }
 
-// dispatch hands one job to every worker and waits for the batch.
-func (k *Kernel) dispatch(job kernelJob) {
+// dispatch hands snapshot s to every worker to fill its stride of rows
+// and waits for the batch.
+func (k *Kernel) dispatch(s *Snapshot) {
 	k.start()
 	k.wg.Add(k.workers)
 	for w := range k.jobs {
-		k.jobs[w] <- job
+		k.jobs[w] <- s
 	}
 	k.wg.Wait()
 }
 
 func (k *Kernel) worker(w int) {
-	for job := range k.jobs[w] {
-		if job.snap != nil {
-			k.fillRows(w, job.snap)
-		} else {
-			k.cvScan(&k.arenas[w], job.pts, w, k.workers)
-		}
+	for s := range k.jobs[w] {
+		k.fillRows(w, s)
 		k.wg.Done()
 	}
 }
@@ -149,62 +129,6 @@ func (k *Kernel) fillRows(w int, s *Snapshot) {
 			a.rowsReused++
 		}
 	}
-}
-
-// cvScan runs one stride of the Complete Visibility scan over observers
-// start, start+step, …: duplicate detection for pairs anchored at the
-// strided index plus the folded-direction collinear scan with that index
-// as observer, with a shared early-exit flag once any refutation is
-// found. Workers call it with their stride; the serial path calls it
-// once with stride 1.
-func (k *Kernel) cvScan(a *kernelArena, pts []Point, start, step int) {
-	if a.cvEmit == nil {
-		a.cvEmit = func(x, y int, confirmable bool) bool {
-			if k.cvFound.Load() {
-				return true
-			}
-			if !confirmable || AreCollinear(a.cvPts[a.cvObs], a.cvPts[x], a.cvPts[y]) {
-				k.cvFound.Store(true)
-				return true
-			}
-			return false
-		}
-	}
-	a.cvPts = pts
-	defer func() { a.cvPts = nil }()
-	n := len(pts)
-	for i := start; i < n; i += step {
-		if k.cvFound.Load() {
-			return
-		}
-		for j := i + 1; j < n; j++ {
-			if pts[i].Eq(pts[j]) {
-				k.cvFound.Store(true)
-				return
-			}
-		}
-		a.cvObs = i
-		var stop bool
-		a.dirs, stop = collinearObserver(pts, i, 0, a.dirs, a.cvEmit)
-		if stop {
-			return
-		}
-	}
-}
-
-// CompleteVisibilityFast is the parallel variant of the package-level
-// CompleteVisibilityFast with an identical verdict: both report
-// distinctness plus the absence of any confirmed collinear triple, and
-// the per-observer scan is the same code for both. Small inputs run
-// serially on the caller's goroutine (still allocation-free once warm).
-func (k *Kernel) CompleteVisibilityFast(pts []Point) bool {
-	k.cvFound.Store(false)
-	if len(pts) < kernelMinParallel || k.workers <= 1 {
-		k.cvScan(&k.arenas[0], pts, 0, 1)
-		return !k.cvFound.Load()
-	}
-	k.dispatch(kernelJob{pts: pts})
-	return !k.cvFound.Load()
 }
 
 // pendingMove is one logged position change since the snapshot barrier.
@@ -323,7 +247,7 @@ func (s *Snapshot) ComputeAll() {
 		}
 		return
 	}
-	s.k.dispatch(kernelJob{snap: s})
+	s.k.dispatch(s)
 	for w := range s.k.arenas {
 		a := &s.k.arenas[w]
 		s.rowsComputed += a.rowsComputed
@@ -331,6 +255,44 @@ func (s *Snapshot) ComputeAll() {
 		a.rowsComputed = 0
 		a.rowsReused = 0
 	}
+}
+
+// CompleteVisibility reports whether every live robot's row contains
+// every other live robot: Complete Visibility among the robots marked in
+// alive, with every robot, live or not, still obstructing lines of
+// sight. A nil alive means every robot is live. Coincident robots never
+// see each other, so a coincident live pair fails the check. The rows
+// are read through Row, so the check stops at the first incomplete row
+// and the rows it brings up to date serve the following Looks.
+func (s *Snapshot) CompleteVisibility(alive []bool) bool {
+	live := len(s.pts)
+	if alive != nil {
+		live = 0
+		for _, a := range alive {
+			if a {
+				live++
+			}
+		}
+	}
+	for r := range s.pts {
+		if alive != nil && !alive[r] {
+			continue
+		}
+		row := s.Row(r)
+		seen := len(row)
+		if alive != nil {
+			seen = 0
+			for _, j := range row {
+				if alive[j] {
+					seen++
+				}
+			}
+		}
+		if seen != live-1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats reports the row accounting since Reset.

@@ -2,7 +2,8 @@ package geom_test
 
 // The zero-allocation guard for the kernel's steady state: once the
 // arenas and row buffers are warm, neither the batched pass (serial or
-// parallel) nor the incremental Update/Row path may allocate. CI runs
+// parallel), the incremental Update/Row path nor the Complete Visibility
+// read may allocate. CI runs
 // this as part of the ordinary test job, so an allocation sneaking into
 // the hot path fails the build, not just a benchmark report.
 
@@ -54,8 +55,15 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 			}
 			home, target = target, home
 		})
-		assertZeroAllocs(t, "Kernel.CompleteVisibilityFast", func() {
-			_ = kern.CompleteVisibilityFast(pts)
+		alive := make([]bool, n)
+		for i := range alive {
+			alive[i] = i%5 != 0
+		}
+		assertZeroAllocs(t, "Reset+Snapshot.CompleteVisibility", func() {
+			snap.Reset(pts)
+			_ = snap.CompleteVisibility(nil)
+			snap.Reset(pts)
+			_ = snap.CompleteVisibility(alive)
 		})
 	}
 }

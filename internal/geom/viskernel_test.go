@@ -164,12 +164,18 @@ func TestSnapshotResetReuse(t *testing.T) {
 	}
 }
 
-// TestKernelCompleteVisibilityParity checks the parallel CV verdict
-// against the serial one on configurations both above and below the
-// parallel threshold, with and without planted refutations.
+// TestKernelCompleteVisibilityParity checks the snapshot's Complete
+// Visibility verdict on one worker (rows filled lazily) against several
+// (rows batch-filled in parallel first), with and without a crash mask,
+// on configurations both above and below the parallel threshold, with
+// and without planted refutations. Below the threshold both also match
+// the O(n³) reference.
 func TestKernelCompleteVisibilityParity(t *testing.T) {
-	kern := geom.NewKernel(4)
-	defer kern.Close()
+	serial := geom.NewKernel(1)
+	defer serial.Close()
+	parallel := geom.NewKernel(4)
+	defer parallel.Close()
+	one, many := serial.NewSnapshot(), parallel.NewSnapshot()
 	rng := rand.New(rand.NewSource(43))
 	plant := func(pts []geom.Point, kind int) {
 		n := len(pts)
@@ -186,11 +192,25 @@ func TestKernelCompleteVisibilityParity(t *testing.T) {
 			if k := rng.Intn(3); k < 2 {
 				plant(pts, k)
 			}
-			got := kern.CompleteVisibilityFast(pts)
-			want := geom.CompleteVisibilityFast(pts)
-			if got != want {
-				t.Fatalf("Kernel.CompleteVisibilityFast = %v, serial = %v (n=%d, pts=%v)",
-					got, want, n, pts)
+			alive := make([]bool, n)
+			for i := range alive {
+				alive[i] = rng.Intn(4) != 0
+			}
+			for _, mask := range [][]bool{nil, alive} {
+				one.Reset(pts)
+				many.Reset(pts)
+				many.ComputeAll()
+				got, want := many.CompleteVisibility(mask), one.CompleteVisibility(mask)
+				if got != want {
+					t.Fatalf("CompleteVisibility on 4 workers = %v, on 1 = %v (n=%d, alive=%v, pts=%v)",
+						got, want, n, mask, pts)
+				}
+				if n <= 60 {
+					if ref := geom.CompleteVisibilityNaive(pts, mask); got != ref {
+						t.Fatalf("CompleteVisibility = %v, O(n³) reference = %v (n=%d, alive=%v, pts=%v)",
+							got, ref, n, mask, pts)
+					}
+				}
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package metrics derives the quantities the experiment tables report
-// from engine results and raw configurations: visibility-graph density,
-// hull composition, movement cost, and aggregations of repeated runs.
+// from engine results and raw configurations: hull peeling depth,
+// movement cost, and aggregations of repeated runs.
 package metrics
 
 import (
@@ -10,41 +10,6 @@ import (
 	"luxvis/internal/sim"
 	"luxvis/internal/stats"
 )
-
-// HullStats summarizes the hull composition of a configuration.
-type HullStats struct {
-	N         int
-	Corners   int
-	EdgeRobot int
-	Interior  int
-	// Depth is the number of convex-hull peeling layers.
-	Depth int
-	// Area and Perimeter describe the outer hull.
-	Area, Perimeter float64
-}
-
-// HullOf computes HullStats for a configuration.
-func HullOf(pts []geom.Point) HullStats {
-	hs := HullStats{N: len(pts)}
-	if len(pts) == 0 {
-		return hs
-	}
-	h := geom.ConvexHull(pts)
-	hs.Area = h.Area()
-	hs.Perimeter = h.Perimeter()
-	for _, p := range pts {
-		switch h.Classify(p) {
-		case geom.HullCorner:
-			hs.Corners++
-		case geom.HullEdge:
-			hs.EdgeRobot++
-		default:
-			hs.Interior++
-		}
-	}
-	hs.Depth = PeelDepth(pts)
-	return hs
-}
 
 // PeelDepth returns the number of convex-hull peeling layers of pts
 // (the "onion depth"). A configuration in convex position has depth 1.
@@ -69,18 +34,6 @@ func PeelDepth(pts []geom.Point) int {
 		rest = next
 	}
 	return depth
-}
-
-// VisibilityDensity returns the fraction of robot pairs that are
-// mutually visible, in [0, 1]; 1 means Complete Visibility. Singleton
-// and empty configurations are fully visible by convention.
-func VisibilityDensity(pts []geom.Point) float64 {
-	n := len(pts)
-	if n < 2 {
-		return 1
-	}
-	pairs := n * (n - 1) / 2
-	return float64(geom.VisibilityCount(pts)) / float64(pairs)
 }
 
 // RunStats aggregates a batch of engine results for one experiment cell

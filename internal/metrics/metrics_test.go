@@ -1,33 +1,11 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"luxvis/internal/geom"
 	"luxvis/internal/sim"
 )
-
-func TestHullOf(t *testing.T) {
-	pts := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4), // corners
-		geom.Pt(2, 0), // edge
-		geom.Pt(2, 2), // interior
-	}
-	hs := HullOf(pts)
-	if hs.N != 6 || hs.Corners != 4 || hs.EdgeRobot != 1 || hs.Interior != 1 {
-		t.Errorf("HullOf = %+v", hs)
-	}
-	if math.Abs(hs.Area-16) > 1e-9 {
-		t.Errorf("Area = %v", hs.Area)
-	}
-	if hs.Depth != 2 {
-		t.Errorf("Depth = %d", hs.Depth)
-	}
-	if got := HullOf(nil); got.N != 0 {
-		t.Errorf("empty HullOf = %+v", got)
-	}
-}
 
 func TestPeelDepth(t *testing.T) {
 	// Triangle: depth 1. Triangle + center: depth 2.
@@ -48,20 +26,6 @@ func TestPeelDepth(t *testing.T) {
 	}
 	if got := PeelDepth(nested); got != 3 {
 		t.Errorf("nested squares depth = %d", got)
-	}
-}
-
-func TestVisibilityDensity(t *testing.T) {
-	if got := VisibilityDensity(nil); got != 1 {
-		t.Errorf("empty density = %v", got)
-	}
-	tri := []geom.Point{geom.Pt(0, 0), geom.Pt(8, 0), geom.Pt(4, 8)}
-	if got := VisibilityDensity(tri); got != 1 {
-		t.Errorf("triangle density = %v", got)
-	}
-	line := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)}
-	if got := VisibilityDensity(line); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("line density = %v", got)
 	}
 }
 

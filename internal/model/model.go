@@ -104,17 +104,6 @@ func (s Snapshot) OtherPoints() []geom.Point {
 	return pts
 }
 
-// CountColor returns how many visible robots (excluding self) show c.
-func (s Snapshot) CountColor(c Color) int {
-	n := 0
-	for _, o := range s.Others {
-		if o.Color == c {
-			n++
-		}
-	}
-	return n
-}
-
 // AllOthersColored reports whether every visible robot's light is one of
 // the given colors. Vacuously true when nothing is visible.
 func (s Snapshot) AllOthersColored(cs ...Color) bool {

@@ -358,16 +358,12 @@ func snapshotLocked(w *world, id int, rc *geom.RowCache) model.Snapshot {
 // flight, and every robot has completed a cycle whose Look saw the final
 // world version. It also accounts epochs, notifying obs (outside the
 // world lock) at each boundary. Crashed robots are frozen scenery
-// throughout: they cannot hold an epoch or stability open, and once any
-// robot has crashed the terminal predicate becomes survivor-CV — mutual
-// visibility among live robots, with the halted ones still obstructing.
+// throughout: they cannot hold an epoch or stability open, and the
+// terminal predicate is survivor-CV — mutual visibility among live
+// robots, with the halted ones still obstructing — decided exactly once
+// per stable world version.
 func monitor(ctx context.Context, w *world, n int, obs sim.Observer) Result {
 	res := Result{}
-	// The CV check runs on a position copy outside the world lock, so
-	// the kernel's worker fan-out (channel sends) never happens under
-	// w.mu.
-	kern := geom.NewKernel(0)
-	defer kern.Close()
 	epochMark := make([]int, n)
 	tick := time.NewTicker(500 * time.Microsecond)
 	defer tick.Stop()
@@ -385,10 +381,8 @@ func monitor(ctx context.Context, w *world, n int, obs sim.Observer) Result {
 		// Epoch accounting over live robots only: a halted robot would
 		// freeze the epoch clock forever.
 		allCycled := true
-		anyCrashed := false
 		for i := 0; i < n; i++ {
 			if w.crashed[i] {
-				anyCrashed = true
 				continue
 			}
 			if w.cycles[i] <= epochMark[i] {
@@ -412,16 +406,14 @@ func monitor(ctx context.Context, w *world, n int, obs sim.Observer) Result {
 				stable = false
 			}
 		}
+		// The CV check runs on a copy of the positions and the alive
+		// mask, outside the world lock.
 		var pos []geom.Point
-		if stable {
-			if w.changeSeq != lastSeqChecked {
-				pos = append([]geom.Point(nil), w.pos...)
-				if anyCrashed {
-					alive = alive[:0]
-					for i := 0; i < n; i++ {
-						alive = append(alive, !w.crashed[i])
-					}
-				}
+		if stable && w.changeSeq != lastSeqChecked {
+			pos = append([]geom.Point(nil), w.pos...)
+			alive = alive[:0]
+			for i := 0; i < n; i++ {
+				alive = append(alive, !w.crashed[i])
 			}
 		}
 		seq := w.changeSeq
@@ -434,15 +426,9 @@ func monitor(ctx context.Context, w *world, n int, obs sim.Observer) Result {
 		}
 		if stable {
 			if pos != nil {
-				if len(alive) > 0 {
-					// Survivor-CV, exact: the stable state is checked once
-					// per world version, so the rational predicate's cost
-					// is off the hot path.
-					cvCached = exact.CompleteVisibilityAmong(pos, alive)
-				} else {
-					//lint:allow ctxflow kernel dispatch is bounded compute on an internal worker pool, not open-ended waiting; a ctx parameter would tax the hot path
-					cvCached = kern.CompleteVisibilityFast(pos)
-				}
+				// Exact, and checked once per stable world version, so
+				// the rational predicate's cost is off the hot path.
+				cvCached = exact.CompleteVisibilityAmong(pos, alive)
 				lastSeqChecked = seq
 			}
 			if cvCached {

@@ -12,7 +12,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -351,15 +350,4 @@ func crashK(n int) int {
 		k = 1
 	}
 	return k
-}
-
-// SortedNames returns the stressor names in matrix order (a convenience
-// for table rendering).
-func SortedNames(cfgs []NamedConfig) []string {
-	names := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		names[i] = c.Name
-	}
-	sort.Strings(names)
-	return names
 }

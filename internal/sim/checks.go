@@ -42,9 +42,11 @@ func (e *engine) quiescent() bool {
 }
 
 // cvNow evaluates Complete Visibility on the current world, cached per
-// world version so the O(n² log n) check runs at most once per change.
-// The kernel variant fans the per-observer scan across workers on
-// multi-core hosts; its verdict is identical to CompleteVisibilityFast.
+// world version so the check runs at most once per change. It reads the
+// batched snapshot's rows — the ones Look serves — so rows it brings up
+// to date are reused by the next Looks. Crash runs terminate on
+// survivor-CV: every surviving pair mutually visible, crashed robots
+// still obstructing (e.alive is nil, all alive, until a crash).
 func (e *engine) cvNow() bool {
 	if e.cvCacheAt != e.lastChange {
 		e.cvCacheAt = e.lastChange
@@ -54,13 +56,7 @@ func (e *engine) cvNow() bool {
 			//lint:allow detsource observer-gated timing counter; never influences control flow
 			t0 = time.Now()
 		}
-		if e.numCrashed > 0 {
-			// Crash runs terminate on survivor-CV: every surviving pair
-			// mutually visible, crashed robots still obstructing.
-			e.cvCacheVal = e.survivorCV()
-		} else {
-			e.cvCacheVal = e.vk.CompleteVisibilityFast(e.pos)
-		}
+		e.cvCacheVal = e.vsnap.CompleteVisibility(e.alive)
 		if e.obs != nil {
 			//lint:allow detsource observer-gated timing counter; never influences control flow
 			e.res.Kernel.CVNanos += time.Since(t0).Nanoseconds()
@@ -287,26 +283,10 @@ func (e *engine) finish() {
 		}
 	}
 	e.sortCrashed()
-	if e.res.Reached && !e.confirmReachedExact() {
+	if e.res.Reached && !exact.CompleteVisibilityAmong(e.pos, e.alive) {
 		// The float predicate accepted a configuration the exact one
 		// rejects; report the run as not reached so experiments surface
 		// the discrepancy instead of hiding it.
 		e.res.Reached = false
 	}
-}
-
-// ColorsOf returns the distinct colors present in a color slice; a
-// convenience for tests and metrics.
-func ColorsOf(cols []model.Color) []model.Color {
-	var mask uint32
-	for _, c := range cols {
-		mask |= 1 << uint(c)
-	}
-	var out []model.Color
-	for _, c := range model.AllColors() {
-		if mask&(1<<uint(c)) != 0 {
-			out = append(out, c)
-		}
-	}
-	return out
 }

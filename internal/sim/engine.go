@@ -222,8 +222,8 @@ type Result struct {
 }
 
 // KernelStats summarizes the batched visibility kernel's work during a
-// run: how many rows each Look resolved from scratch versus revalidated
-// incrementally, and where the geometry time went. The nanosecond
+// run: how many rows the Looks and the CV checks resolved from scratch
+// versus revalidated incrementally, and where the geometry time went. The nanosecond
 // counters are collected only when an Observer is attached — the
 // benchmark path (nil Observer) pays no clock reads.
 type KernelStats struct {
@@ -332,10 +332,11 @@ type engine struct {
 	// nearBuf is the reusable candidate buffer for idx queries.
 	nearBuf []int
 
-	// Crash-fault state (see stressors.go). crashed is nil until the
-	// first fault fires; numCrashed gates every crash-aware branch so a
-	// clean run pays one predictable comparison.
-	crashed      []bool
+	// Crash-fault state (see stressors.go). alive is nil until the
+	// first fault fires — nil is the all-alive mask of the CV checks —
+	// and false for halted robots after; numCrashed gates every
+	// crash-aware branch so a clean run pays one predictable comparison.
+	alive        []bool
 	numCrashed   int
 	crashPending []CrashSpec
 	// aliveIdx maps compacted survivor indices (what the scheduler sees

@@ -257,13 +257,6 @@ func TestTraceRecording(t *testing.T) {
 	}
 }
 
-func TestColorsOf(t *testing.T) {
-	got := ColorsOf([]model.Color{model.Off, model.Corner, model.Corner, model.Done})
-	if len(got) != 3 {
-		t.Errorf("ColorsOf = %v", got)
-	}
-}
-
 func TestNonRigidStillSafe(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 8), geom.Pt(4, 3)}
 	opt := DefaultOptions(sched.NewAsyncRandom(), 3)

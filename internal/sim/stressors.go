@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 
-	"luxvis/internal/exact"
 	"luxvis/internal/geom"
 	"luxvis/internal/model"
 	"luxvis/internal/sched"
@@ -146,7 +145,7 @@ func (e *engine) fireCrashes() {
 	}
 	e.aliveIdx = e.aliveIdx[:0]
 	for i := range e.st {
-		if !e.crashed[i] {
+		if e.alive[i] {
 			e.aliveIdx = append(e.aliveIdx, i)
 		}
 	}
@@ -161,10 +160,13 @@ func (e *engine) fireCrashes() {
 
 // crashRobot halts robot r where it stands.
 func (e *engine) crashRobot(r int) {
-	if e.crashed == nil {
-		e.crashed = make([]bool, len(e.st))
+	if e.alive == nil {
+		e.alive = make([]bool, len(e.st))
+		for i := range e.alive {
+			e.alive[i] = true
+		}
 	}
-	e.crashed[r] = true
+	e.alive[r] = false
 	e.numCrashed++
 	e.res.Crashed = append(e.res.Crashed, r)
 	if e.st[r].Stage == sched.Moving && !e.opt.SkipSafetyChecks {
@@ -202,51 +204,7 @@ func (e *engine) nextRobot() int {
 
 // isCrashed reports whether robot i has halted.
 func (e *engine) isCrashed(i int) bool {
-	return e.crashed != nil && e.crashed[i]
-}
-
-// survivorCV evaluates the crash-fault terminal predicate on the
-// current world: every pair of surviving robots is mutually visible,
-// with crashed robots still acting as obstructions. It reads the
-// batched snapshot's rows, so the incremental revalidation path is
-// shared with Look.
-func (e *engine) survivorCV() bool {
-	for _, i := range e.aliveIdx {
-		row := e.vsnap.Row(i)
-		k := 0
-		for _, j := range e.aliveIdx {
-			if j == i {
-				continue
-			}
-			for k < len(row) && row[k] < j {
-				k++
-			}
-			if k == len(row) || row[k] != j {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// aliveMask returns the survivor mask for the exact terminal
-// confirmation (nil means everyone is alive).
-func (e *engine) aliveMask() []bool {
-	alive := make([]bool, len(e.pos))
-	for i := range alive {
-		alive[i] = !e.isCrashed(i)
-	}
-	return alive
-}
-
-// confirmReachedExact re-verifies the terminal predicate with exact
-// rational arithmetic: full Complete Visibility for clean runs,
-// survivor Complete Visibility for crash runs.
-func (e *engine) confirmReachedExact() bool {
-	if e.numCrashed > 0 {
-		return exact.CompleteVisibilityAmong(e.pos, e.aliveMask())
-	}
-	return exact.CompleteVisibilityHybrid(e.pos)
+	return e.alive != nil && !e.alive[i]
 }
 
 // sortCrashed canonicalizes Result.Crashed (crashes may fire in any

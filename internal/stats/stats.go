@@ -9,7 +9,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -207,31 +206,4 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for
-// the mean of xs at the given confidence level (e.g. 0.95), using the
-// provided number of resamples and seed. It panics on an empty sample.
-func BootstrapMeanCI(xs []float64, level float64, resamples int, seed int64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: BootstrapMeanCI of empty sample")
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, resamples)
-	for r := range means {
-		var sum float64
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
 }

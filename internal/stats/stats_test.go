@@ -125,23 +125,3 @@ func TestQuantile(t *testing.T) {
 		t.Errorf("singleton quantile = %v", got)
 	}
 }
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapMeanCI(xs, 0.95, 500, 3)
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%v, %v] excludes the true mean", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI [%v, %v] too wide for n=200", lo, hi)
-	}
-	// Deterministic per seed.
-	lo2, hi2 := BootstrapMeanCI(xs, 0.95, 500, 3)
-	if lo != lo2 || hi != hi2 {
-		t.Error("bootstrap not deterministic per seed")
-	}
-}

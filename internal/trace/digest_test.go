@@ -8,8 +8,10 @@ import (
 	"math"
 	"testing"
 
+	"luxvis/internal/circlevis"
 	"luxvis/internal/config"
 	"luxvis/internal/core"
+	"luxvis/internal/model"
 	"luxvis/internal/sched"
 	"luxvis/internal/sim"
 	"luxvis/internal/trace"
@@ -82,5 +84,75 @@ func TestDecisionDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != decisionDigest {
 		t.Fatalf("LogVis decision digest changed:\n got %s\nwant %s", got, decisionDigest)
+	}
+}
+
+// cvDigest is the SHA-256 of the Complete Visibility verdicts of every
+// run in TestCVDigest: epochs, the first CV epoch, the reached bit and
+// the CV bit of every epoch sample. It pins the CV decision itself —
+// which the other digests see only through its effect on termination —
+// across every family, scheduler and both algorithms.
+const cvDigest = "b047cb8bc13e18a6e30afdc430848388deba495b7353cf6892b0b7ced72b0970"
+
+// TestCVDigest hashes the CV verdicts of LogVis and CircleVis runs over
+// every configuration family × scheduler at n = 16 and 32, each once
+// fault-free and once with two robots crashing early (so the survivor
+// verdict is pinned as well as the all-robot one). Runs stop at
+// 256 epochs: CircleVis never reaches CV on the line and spokes families,
+// and 256 sampled verdicts of such a run pin as much as 4096 would.
+func TestCVDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 400 simulations")
+	}
+	algos := []struct {
+		name string
+		new  func() model.Algorithm
+	}{
+		{"logvis", func() model.Algorithm { return core.NewLogVis() }},
+		{"circlevis", func() model.Algorithm { return circlevis.NewCircleVis() }},
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	putBool := func(b bool) {
+		if b {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for _, fam := range config.Families() {
+		for _, sn := range sched.Names() {
+			for _, al := range algos {
+				for _, n := range []int{16, 32} {
+					for _, crash := range []bool{false, true} {
+						seed := int64(n) + 4000
+						opt := sim.DefaultOptions(sched.ByName(sn), seed)
+						opt.SampleEpochs = true
+						opt.MaxEpochs = 256
+						if crash {
+							opt.Crashes = []sim.CrashSpec{{Robot: 0, AtEvent: n}, {Robot: n / 2, AtEvent: 2 * n}}
+						}
+						res, err := sim.Run(al.new(), config.Generate(fam, n, seed), opt)
+						if err != nil {
+							t.Fatalf("%s %s %s n=%d crash=%v: sim.Run: %v", fam, sn, al.name, n, crash, err)
+						}
+						fmt.Fprintf(h, "%s/%s/%s/%d/%v:", fam, sn, al.name, n, crash)
+						put(uint64(res.Epochs))
+						put(uint64(int64(res.FirstCVEpoch)))
+						putBool(res.Reached)
+						for _, smp := range res.EpochSamples {
+							putBool(smp.CV)
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != cvDigest {
+		t.Fatalf("CV decision digest changed:\n got %s\nwant %s", got, cvDigest)
 	}
 }

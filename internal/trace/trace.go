@@ -12,7 +12,6 @@ import (
 	"io"
 	"strconv"
 
-	"luxvis/internal/geom"
 	"luxvis/internal/sim"
 )
 
@@ -140,26 +139,6 @@ func ReadJSONL(r io.Reader) (Header, []Event, error) {
 		events = append(events, e)
 	}
 	return dec.Header(), events, nil
-}
-
-// WritePositionsCSV writes a configuration as a two-column CSV
-// (x,y with a header row).
-func WritePositionsCSV(w io.Writer, pts []geom.Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"x", "y"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		rec := []string{
-			strconv.FormatFloat(p.X, 'g', -1, 64),
-			strconv.FormatFloat(p.Y, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteRunCSV writes one summary row per result, with a header row, for

@@ -88,21 +88,6 @@ func TestReadJSONLRejectsHeaderless(t *testing.T) {
 	}
 }
 
-func TestWritePositionsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	pts := []geom.Point{geom.Pt(1, 2), geom.Pt(3.5, -4)}
-	if err := WritePositionsCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || lines[0] != "x,y" {
-		t.Errorf("csv = %q", buf.String())
-	}
-	if lines[2] != "3.5,-4" {
-		t.Errorf("row = %q", lines[2])
-	}
-}
-
 func TestWriteRunCSV(t *testing.T) {
 	var buf bytes.Buffer
 	results := []sim.Result{sampleResult(), sampleResult()}

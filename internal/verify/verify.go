@@ -196,18 +196,17 @@ func Audit(start []geom.Point, palette []model.Color, res sim.Result) (*Report, 
 	}
 
 	rep.PathCrossings = crossingSweep(done, rep)
-	rep.FinalCV = exact.CompleteVisibilityHybrid(pos)
-	rep.SurvivorCV = rep.FinalCV
-	if rep.Crashes > 0 {
-		alive := make([]bool, n)
-		for i := range alive {
-			alive[i] = !crashed[i]
-			if crashed[i] {
-				rep.Crashed = append(rep.Crashed, i)
-			}
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = !crashed[i]
+		if crashed[i] {
+			rep.Crashed = append(rep.Crashed, i)
 		}
-		rep.SurvivorCV = exact.CompleteVisibilityAmong(pos, alive)
 	}
+	// Full CV implies survivor CV, so the mask is consulted only when
+	// full CV fails.
+	rep.FinalCV = exact.CompleteVisibilityAmong(pos, nil)
+	rep.SurvivorCV = rep.FinalCV || exact.CompleteVisibilityAmong(pos, alive)
 
 	// Cross-check the derived crashed set against the engine's (both in
 	// ascending index order — the engine sorts at finish, the auditor

@@ -62,8 +62,16 @@ type Point = geom.Point
 func Pt(x, y float64) Point { return geom.Pt(x, y) }
 
 // CompleteVisibility reports whether every pair of robots at pts is
-// mutually visible, decided with exact rational arithmetic.
-func CompleteVisibility(pts []Point) bool { return exact.CompleteVisibilityHybrid(pts) }
+// mutually visible, decided with exact rational arithmetic. A NaN or
+// infinite coordinate is no robot position: the result is false.
+func CompleteVisibility(pts []Point) bool {
+	for _, p := range pts {
+		if !p.IsFinite() {
+			return false
+		}
+	}
+	return exact.CompleteVisibilityAmong(pts, nil)
+}
 
 // StrictlyConvexPosition reports whether all points are distinct strict
 // corners of their convex hull — the terminal configuration shape of the
@@ -82,8 +90,9 @@ func VisibleSet(pts []Point, i int) []int { return geom.VisibleSetFast(pts, i) }
 // VisibilityKernel batches visibility computation: it owns per-worker
 // arenas and fans full-snapshot passes out across cores. Close it when
 // done. The engine creates one per run internally; construct one
-// directly to drive VisibilitySnapshot or the batched Complete
-// Visibility check yourself.
+// directly to drive a VisibilitySnapshot — its rows and its batched
+// Complete Visibility check, VisibilitySnapshot.CompleteVisibility —
+// yourself.
 type VisibilityKernel = geom.Kernel
 
 // NewVisibilityKernel returns a kernel with the given worker count
@@ -93,7 +102,9 @@ func NewVisibilityKernel(workers int) *VisibilityKernel { return geom.NewKernel(
 // VisibilitySnapshot is a kernel-backed view of all N visible sets of
 // one evolving configuration: rows are computed on demand, reused
 // arenas make the steady state allocation-free, and after a single-
-// robot Update only the rows the move can affect are recomputed.
+// robot Update only the rows the move can affect are recomputed. Its
+// CompleteVisibility method is the batched Complete Visibility check,
+// read off those rows, optionally among a subset of live robots.
 type VisibilitySnapshot = geom.Snapshot
 
 // VisibilitySnapshotStats reports a snapshot's computed-versus-reused

@@ -1,6 +1,7 @@
 package luxvis_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -96,5 +97,11 @@ func TestFacadeGeometry(t *testing.T) {
 	line := []luxvis.Point{luxvis.Pt(0, 0), luxvis.Pt(2, 0), luxvis.Pt(4, 0)}
 	if luxvis.CompleteVisibility(line) {
 		t.Error("line passes CV")
+	}
+	// Outside input: a non-finite coordinate is rejected, not a panic.
+	for _, bad := range []luxvis.Point{luxvis.Pt(math.NaN(), 1), luxvis.Pt(0, math.Inf(-1))} {
+		if luxvis.CompleteVisibility(append(tri[:2:2], bad)) {
+			t.Errorf("CompleteVisibility accepted non-finite point %v", bad)
+		}
 	}
 }
