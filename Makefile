@@ -41,8 +41,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## fuzz-smoke: short fuzz runs of the geometry differential targets,
-## mirroring the CI smoke (corpora live in internal/geom/testdata/fuzz).
+## mirroring the CI smoke (corpora live in internal/geom/testdata/fuzz
+## and internal/exact/testdata/fuzz).
 fuzz-smoke:
+	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzOrientFilter$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzVisibleAgainstNaive$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentCross$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSnapshotUpdate$$' -fuzztime 15s
@@ -50,11 +52,14 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 15s
 
 ## alloc-guard: the steady-state zero-allocation guards of the hot
-## paths — the visibility kernel, the hull on reusable scratch, and
-## LogVis's Compute (mirrors the CI step; skipped under -race).
+## paths — the visibility kernel, the hull on reusable scratch, LogVis's
+## and CircleVis's Compute, and the exact predicates on inputs their
+## float filter certifies (mirrors the CI step; skipped under -race).
 alloc-guard:
 	$(GO) test ./internal/geom -count=1 -v -run 'TestKernelZeroAllocSteadyState|TestRowCacheZeroAllocSteadyState|TestConvexHullZeroAllocScratch'
 	$(GO) test ./internal/core -count=1 -v -run 'TestComputeZeroAllocSteadyState'
+	$(GO) test ./internal/circlevis -count=1 -v -run 'TestCircleVisComputeZeroAllocSteadyState'
+	$(GO) test ./internal/exact -count=1 -v -run 'TestExactPredicatesZeroAlloc'
 
 ## scenarios: the robustness matrix at CI scale — every stressor of the
 ## scenario suite against the paper's claims, 1 seed, engine-vs-auditor

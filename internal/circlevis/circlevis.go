@@ -17,6 +17,7 @@ package circlevis
 
 import (
 	"math"
+	"sync"
 
 	"luxvis/internal/geom"
 	"luxvis/internal/model"
@@ -49,13 +50,26 @@ func (a *CircleVis) stepFrac() float64 {
 	return a.StepFrac
 }
 
-// Compute implements model.Algorithm.
+// pointsPool holds Compute's point buffers. Compute runs concurrently
+// under the goroutine runtime, so a buffer belongs to one Compute and
+// nothing in it outlives the call.
+var pointsPool = sync.Pool{New: func() any { return new([]geom.Point) }}
+
+// Compute implements model.Algorithm. It allocates nothing once the
+// pooled buffer has grown to the view size.
 func (a *CircleVis) Compute(s model.Snapshot) model.Action {
 	self := s.Self.Pos
 	if len(s.Others) == 0 {
 		return model.Stay(self, model.Done)
 	}
-	pts := s.Points()
+	buf := pointsPool.Get().(*[]geom.Point)
+	defer pointsPool.Put(buf)
+	// pts holds self first, then the others in snapshot order.
+	pts := append((*buf)[:0], self)
+	for _, o := range s.Others {
+		pts = append(pts, o.Pos)
+	}
+	*buf = pts
 	sec := geom.MinEnclosingCircle(pts)
 
 	if sec.OnBoundary(self) {
@@ -87,7 +101,7 @@ func (a *CircleVis) Compute(s model.Snapshot) model.Action {
 	// this corridor.
 	margin := s.NearestDist() / 8
 	margin = math.Min(margin, self.Dist(target)/4)
-	obstacles := s.OtherPoints()
+	obstacles := pts[1:]
 	if !geom.PathClear(self, target, obstacles, margin) {
 		// Try a shorter hop, then a slightly rotated boundary slot —
 		// the escape hatch for robots sharing a ray with an already

@@ -1,6 +1,7 @@
 package circlevis_test
 
 import (
+	"sync"
 	"testing"
 
 	"luxvis/internal/circlevis"
@@ -93,4 +94,45 @@ func TestCircleVisAlone(t *testing.T) {
 	if !act.IsStay(geom.Pt(1, 1)) || act.Color != model.Done {
 		t.Errorf("alone: %+v", act)
 	}
+}
+
+// fullView is robot i's snapshot when it sees every other robot, all
+// lit Corner.
+func fullView(pts []geom.Point, i int) model.Snapshot {
+	s := model.Snapshot{Self: model.RobotView{Pos: pts[i]}}
+	for j, p := range pts {
+		if j != i {
+			s.Others = append(s.Others, model.RobotView{Pos: p, Color: model.Corner})
+		}
+	}
+	return s
+}
+
+// TestCircleVisComputeConcurrent: the goroutine runtime calls Compute
+// from one goroutine per robot, so calls in flight must never share a
+// pooled point buffer. Run it under -race.
+func TestCircleVisComputeConcurrent(t *testing.T) {
+	pts := config.Generate(config.Uniform, 48, 4)
+	a := circlevis.NewCircleVis()
+	want := make([]model.Action, len(pts))
+	for i := range pts {
+		want[i] = a.Compute(fullView(pts, i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 10; rep++ {
+				for i := range pts {
+					k := (i + 7*g) % len(pts)
+					if got := a.Compute(fullView(pts, k)); got != want[k] {
+						t.Errorf("goroutine %d: Compute for robot %d = %+v, sequential call gave %+v", g, k, got, want[k])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -21,21 +21,27 @@ const candidateTol = 1e-5
 //
 // It costs O(n² log n) expected time: the float angular filter
 // (geom.CollinearCandidates) proposes candidate collinear triples and
-// each is confirmed over big.Rat. A confirmed collinear triple refutes
-// CV only when its two endpoints are both alive and its blocker lies
-// strictly between them — a dead endpoint's blocked sightline is
-// irrelevant. The filter emits every exactly-collinear triple once per
-// point playing the blocker role, so filtering candidates to live
-// endpoint pairs loses nothing.
+// StrictlyBetween confirms each exactly, with big.Rat arithmetic only
+// where its certified float filter abstains. A confirmed collinear
+// triple refutes CV only when its two endpoints are both alive and its
+// blocker lies strictly between them — a dead endpoint's blocked
+// sightline is irrelevant. The filter emits every exactly-collinear
+// triple once per point playing the blocker role, so filtering
+// candidates to live endpoint pairs loses nothing. It panics on NaN/Inf
+// coordinates — those are engine bugs, not data.
 func CompleteVisibilityAmong(pts []geom.Point, alive []bool) bool {
 	live := func(i int) bool { return alive == nil || alive[i] }
-	eps := FromFloats(pts)
+	for _, p := range pts {
+		if !p.IsFinite() {
+			panic("exact: non-finite coordinate")
+		}
+	}
 	// Exact distinctness of every live point against all points: a
 	// survivor sharing a position with anything (alive or crashed) is a
 	// collision, not a visibility question.
-	for i := range eps {
-		for j := i + 1; j < len(eps); j++ {
-			if (live(i) || live(j)) && eps[i].Eq(eps[j]) {
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if (live(i) || live(j)) && same(pts[i], pts[j]) {
 				return false
 			}
 		}
@@ -49,7 +55,7 @@ func CompleteVisibilityAmong(pts []geom.Point, alive []bool) bool {
 		if !live(t.A) || !live(t.B) {
 			continue
 		}
-		if StrictlyBetween(eps[t.A], eps[t.B], eps[t.Blocker]) {
+		if StrictlyBetween(pts[t.A], pts[t.B], pts[t.Blocker]) {
 			return false
 		}
 	}

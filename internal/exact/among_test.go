@@ -7,9 +7,10 @@ import (
 	"luxvis/internal/geom"
 )
 
-// bruteAmong is the O(n³) exact reference: selected points pairwise
+// bruteAmong is the O(n³) rational reference: selected points pairwise
 // distinct from everything and mutually visible with all points as
-// obstructions. A nil selected means every point is selected.
+// obstructions, decided over big.Rat alone. A nil selected means every
+// point is selected.
 func bruteAmong(pts []geom.Point, selected []bool) bool {
 	if selected == nil {
 		selected = make([]bool, len(pts))
@@ -17,13 +18,13 @@ func bruteAmong(pts []geom.Point, selected []bool) bool {
 			selected[i] = true
 		}
 	}
-	eps := FromFloats(pts)
+	eps := fromFloats(pts)
 	for i := range eps {
 		if !selected[i] {
 			continue
 		}
 		for j := range eps {
-			if j != i && eps[i].Eq(eps[j]) {
+			if j != i && eps[i].eq(eps[j]) {
 				return false
 			}
 		}
@@ -40,7 +41,7 @@ func bruteAmong(pts []geom.Point, selected []bool) bool {
 				if k == i || k == j {
 					continue
 				}
-				if StrictlyBetween(eps[i], eps[j], eps[k]) {
+				if strictlyBetweenRat(eps[i], eps[j], eps[k]) {
 					return false
 				}
 			}

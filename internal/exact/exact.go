@@ -1,8 +1,18 @@
-// Package exact re-implements the safety-critical geometric predicates of
-// the luxvis checker over math/big rationals. Every float64 coordinate is
-// converted losslessly to a big.Rat, so orientation, betweenness, segment
-// intersection and the Complete Visibility predicate computed here are
-// free of rounding error for any finite float64 input.
+// Package exact decides the safety-critical geometric predicates of the
+// luxvis checker — orientation, betweenness, segment crossing and
+// overlap, and the Complete Visibility predicate — exactly, for any
+// finite float64 input.
+//
+// Every orientation is first evaluated in float64 under Shewchuk's
+// certified error bound for orient2d ("Adaptive Precision
+// Floating-Point Arithmetic and Fast Robust Geometric Predicates",
+// 1997). The float sign is returned only when the bound proves it
+// correct; when the filter abstains, the orientation is recomputed over
+// math/big rationals, to which every finite float64 converts
+// losslessly. Everything else the predicates do compares input
+// coordinates, and float64 order and equality of finite values are
+// exactly their rational order and equality (with −0 = 0 in both), so
+// no step rounds.
 //
 // The simulation engine makes its *decisions* with the float kernel in
 // internal/geom (the algorithms keep clear of degeneracies by
@@ -13,103 +23,88 @@
 package exact
 
 import (
+	"math"
 	"math/big"
 
 	"luxvis/internal/geom"
 )
 
-// Point is a point in the plane with exact rational coordinates.
-type Point struct {
-	X, Y *big.Rat
-}
+// ccwErrBoundA is Shewchuk's static error bound for orient2d, (3+16ε)ε
+// with ε = 2⁻⁵³ the unit roundoff of float64: when the float
+// determinant exceeds ccwErrBoundA·(|detl|+|detr|) in magnitude, its
+// sign is the exact sign. The constant is exactly representable.
+const ccwErrBoundA = (3 + 16*0x1p-53) * 0x1p-53
 
-// FromFloat converts a float kernel point losslessly (every finite
-// float64 is a rational). It panics on NaN/Inf coordinates — those are
-// engine bugs, not data.
-func FromFloat(p geom.Point) Point {
-	if !p.IsFinite() {
-		panic("exact: non-finite coordinate")
+// minDetSum is the smallest |detl|+|detr| the filter trusts. The bound
+// is relative and assumes no product underflowed; below 2⁻⁹⁰⁰ a product
+// may have, while above it the at most 2⁻¹⁰⁷⁴ an underflowing partner
+// product can lose sits far below the bound's own ε² slack.
+const minDetSum = 0x1p-900
+
+// orientFilter returns the sign of (b-a)×(c-a) when the float64
+// evaluation certifies it, and ok=false when the exact fallback must
+// decide: the bound does not separate the determinant from zero, or
+// underflow or overflow voids the bound.
+func orientFilter(a, b, c geom.Point) (sign int, ok bool) {
+	// The explicit conversions round each product on its own: the Go
+	// spec lets a compiler fuse x*y - z*w into an FMA otherwise, and the
+	// bound does not cover a fused result.
+	detl := float64((b.X - a.X) * (c.Y - a.Y))
+	detr := float64((b.Y - a.Y) * (c.X - a.X))
+	det := detl - detr
+	detsum := math.Abs(detl) + math.Abs(detr)
+	if !(detsum >= minDetSum) || math.IsInf(detsum, 1) { // !(>=) also catches NaN
+		return 0, false
 	}
-	x := new(big.Rat).SetFloat64(p.X)
-	y := new(big.Rat).SetFloat64(p.Y)
-	return Point{X: x, Y: y}
-}
-
-// FromFloats converts a slice of float points.
-func FromFloats(ps []geom.Point) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = FromFloat(p)
+	bound := ccwErrBoundA * detsum
+	switch {
+	case det > bound:
+		return 1, true
+	case -det > bound:
+		return -1, true
 	}
-	return out
-}
-
-// Eq reports exact coordinate equality.
-func (p Point) Eq(q Point) bool { return p.X.Cmp(q.X) == 0 && p.Y.Cmp(q.Y) == 0 }
-
-// sub returns p - q componentwise.
-func sub(p, q Point) (dx, dy *big.Rat) {
-	dx = new(big.Rat).Sub(p.X, q.X)
-	dy = new(big.Rat).Sub(p.Y, q.Y)
-	return dx, dy
+	return 0, false
 }
 
 // OrientSign returns the exact sign of the cross product (b-a)×(c-a):
-// +1 for a left turn, -1 for a right turn, 0 for exactly collinear.
-func OrientSign(a, b, c Point) int {
-	abx, aby := sub(b, a)
-	acx, acy := sub(c, a)
-	lhs := new(big.Rat).Mul(abx, acy)
-	rhs := new(big.Rat).Mul(aby, acx)
-	return lhs.Cmp(rhs)
+// +1 for a left turn, -1 for a right turn, 0 for exactly collinear. It
+// allocates only when the float filter abstains. It panics on NaN/Inf
+// coordinates — those are engine bugs, not data.
+func OrientSign(a, b, c geom.Point) int {
+	if s, ok := orientFilter(a, b, c); ok {
+		return s
+	}
+	return orientRat(fromFloat(a), fromFloat(b), fromFloat(c))
 }
 
 // Collinear reports exact collinearity of a, b, c.
-func Collinear(a, b, c Point) bool { return OrientSign(a, b, c) == 0 }
+func Collinear(a, b, c geom.Point) bool { return OrientSign(a, b, c) == 0 }
 
 // StrictlyBetween reports whether m lies exactly on the open segment
-// (a, b): collinear and strictly inside the coordinate range on the
-// dominant axis.
-func StrictlyBetween(a, b, m Point) bool {
+// (a, b).
+func StrictlyBetween(a, b, m geom.Point) bool {
 	if !Collinear(a, b, m) {
 		return false
 	}
-	dx := new(big.Rat).Sub(b.X, a.X)
-	dy := new(big.Rat).Sub(b.Y, a.Y)
-	useX := absCmp(dx, dy) >= 0
-	var ta, tb, tm *big.Rat
-	if useX {
-		ta, tb, tm = a.X, b.X, m.X
-	} else {
-		ta, tb, tm = a.Y, b.Y, m.Y
+	// On the line through a and b, m is strictly inside exactly when its
+	// coordinate is strictly inside on an axis along which a and b
+	// differ; for a = b the open segment is empty and so is the range.
+	if a.X < b.X || b.X < a.X {
+		return inOpen(a.X, b.X, m.X)
 	}
-	lo, hi := ta, tb
-	if lo.Cmp(hi) > 0 {
-		lo, hi = hi, lo
-	}
-	return tm.Cmp(lo) > 0 && tm.Cmp(hi) < 0
+	return inOpen(a.Y, b.Y, m.Y)
 }
 
 // OnSegment reports whether m lies exactly on the closed segment [a, b].
-func OnSegment(a, b, m Point) bool {
-	if m.Eq(a) || m.Eq(b) {
-		return true
-	}
-	return StrictlyBetween(a, b, m)
-}
-
-// absCmp compares |x| with |y|.
-func absCmp(x, y *big.Rat) int {
-	ax := new(big.Rat).Abs(x)
-	ay := new(big.Rat).Abs(y)
-	return ax.Cmp(ay)
+func OnSegment(a, b, m geom.Point) bool {
+	return same(m, a) || same(m, b) || StrictlyBetween(a, b, m)
 }
 
 // SegmentsProperlyCross reports, exactly, whether the open segments
 // (a1,b1) and (a2,b2) cross at a point interior to both. Shared endpoints
 // and collinear overlaps are not proper crossings (the engine classifies
 // those separately).
-func SegmentsProperlyCross(a1, b1, a2, b2 Point) bool {
+func SegmentsProperlyCross(a1, b1, a2, b2 geom.Point) bool {
 	o1 := OrientSign(a1, b1, a2)
 	o2 := OrientSign(a1, b1, b2)
 	o3 := OrientSign(a2, b2, a1)
@@ -119,40 +114,66 @@ func SegmentsProperlyCross(a1, b1, a2, b2 Point) bool {
 
 // SegmentsOverlap reports, exactly, whether two segments are collinear
 // and share more than a single point.
-func SegmentsOverlap(a1, b1, a2, b2 Point) bool {
+func SegmentsOverlap(a1, b1, a2, b2 geom.Point) bool {
 	if OrientSign(a1, b1, a2) != 0 || OrientSign(a1, b1, b2) != 0 {
 		return false
 	}
-	// Both segments lie on one line. Compare ranges on the dominant axis
-	// of the combined direction.
-	dx := new(big.Rat).Sub(b1.X, a1.X)
-	dy := new(big.Rat).Sub(b1.Y, a1.Y)
-	if dx.Sign() == 0 && dy.Sign() == 0 {
-		dx = new(big.Rat).Sub(b2.X, a2.X)
-		dy = new(big.Rat).Sub(b2.Y, a2.Y)
+	// Both segments lie on the line through a1 and b1, and projecting
+	// onto an axis along which a1 and b1 differ is injective on it. A
+	// point-sized first segment projects to a point and shares at most
+	// that point.
+	if a1.X < b1.X || b1.X < a1.X {
+		return overlapOpen(a1.X, b1.X, a2.X, b2.X)
 	}
-	useX := absCmp(dx, dy) >= 0
-	coord := func(p Point) *big.Rat {
-		if useX {
-			return p.X
-		}
-		return p.Y
+	return overlapOpen(a1.Y, b1.Y, a2.Y, b2.Y)
+}
+
+// same reports exact coordinate equality.
+func same(p, q geom.Point) bool {
+	//lint:allow floateq exact equality of finite floats is exact rational equality
+	return p.X == q.X && p.Y == q.Y
+}
+
+// inOpen reports whether t lies strictly between p and q.
+func inOpen(p, q, t float64) bool {
+	if q < p {
+		p, q = q, p
 	}
-	lo1, hi1 := coord(a1), coord(b1)
-	if lo1.Cmp(hi1) > 0 {
-		lo1, hi1 = hi1, lo1
+	return p < t && t < q
+}
+
+// overlapOpen reports whether the ranges [p1,q1] and [p2,q2] share an
+// interval of positive length.
+func overlapOpen(p1, q1, p2, q2 float64) bool {
+	if q1 < p1 {
+		p1, q1 = q1, p1
 	}
-	lo2, hi2 := coord(a2), coord(b2)
-	if lo2.Cmp(hi2) > 0 {
-		lo2, hi2 = hi2, lo2
+	if q2 < p2 {
+		p2, q2 = q2, p2
 	}
-	// Overlap of positive length: max(lo) < min(hi).
-	maxLo, minHi := lo1, hi1
-	if lo2.Cmp(maxLo) > 0 {
-		maxLo = lo2
+	return math.Max(p1, p2) < math.Min(q1, q2)
+}
+
+// point is a point with exact rational coordinates: the representation
+// of the filter's fallback.
+type point struct {
+	x, y *big.Rat
+}
+
+// fromFloat converts a float kernel point losslessly (every finite
+// float64 is a rational). It panics on NaN/Inf coordinates.
+func fromFloat(p geom.Point) point {
+	if !p.IsFinite() {
+		panic("exact: non-finite coordinate")
 	}
-	if hi2.Cmp(minHi) < 0 {
-		minHi = hi2
-	}
-	return maxLo.Cmp(minHi) < 0
+	return point{x: new(big.Rat).SetFloat64(p.X), y: new(big.Rat).SetFloat64(p.Y)}
+}
+
+// orientRat is OrientSign over rationals.
+func orientRat(a, b, c point) int {
+	abx := new(big.Rat).Sub(b.x, a.x)
+	aby := new(big.Rat).Sub(b.y, a.y)
+	acx := new(big.Rat).Sub(c.x, a.x)
+	acy := new(big.Rat).Sub(c.y, a.y)
+	return abx.Mul(abx, acy).Cmp(aby.Mul(aby, acx))
 }

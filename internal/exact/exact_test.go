@@ -1,17 +1,18 @@
 package exact
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"luxvis/internal/geom"
 )
 
-func fp(x, y float64) Point { return FromFloat(geom.Pt(x, y)) }
+func fp(x, y float64) geom.Point { return geom.Pt(x, y) }
 
 func TestOrientSign(t *testing.T) {
 	cases := []struct {
-		a, b, c Point
+		a, b, c geom.Point
 		want    int
 	}{
 		{fp(0, 0), fp(1, 0), fp(0, 1), 1},
@@ -20,6 +21,12 @@ func TestOrientSign(t *testing.T) {
 		// A triple that float predicates would call collinear but is
 		// exactly not: the offset is below geom.Eps but representable.
 		{fp(0, 0), fp(1, 0), fp(0.5, 1e-12), 1},
+		// Both products are subnormal: rounding gives the float
+		// determinant the wrong sign while the relative bound rounds to
+		// 0, so only the 2⁻⁹⁰⁰ floor on |detl|+|detr| sends it to
+		// big.Rat.
+		{fp(2.7155394673747004e-167, 0), fp(3.516745217890185e-151, 3.621323206225881e-143),
+			fp(5.431078934749401e-167, 2.7962918782401673e-159), -1},
 	}
 	for _, c := range cases {
 		if got := OrientSign(c.a, c.b, c.c); got != c.want {
@@ -134,7 +141,7 @@ func TestExactResolvesBelowFloatEps(t *testing.T) {
 	if !geom.AreCollinear(a, b, m) {
 		t.Skip("float kernel resolves this offset; widen the test")
 	}
-	if Collinear(FromFloat(a), FromFloat(b), FromFloat(m)) {
+	if Collinear(a, b, m) {
 		t.Error("exact kernel merged a distinct point")
 	}
 }
@@ -151,13 +158,25 @@ func TestBlockedPairExact(t *testing.T) {
 	}
 }
 
+// Non-finite coordinates are engine bugs: the rational conversion and
+// every predicate that reaches it panic rather than decide.
 func TestFromFloatPanicsOnNonFinite(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on NaN")
-		}
-	}()
-	FromFloat(geom.Point{X: 0, Y: nan()})
+	bad := geom.Point{X: 0, Y: math.NaN()}
+	inf := geom.Point{X: math.Inf(1), Y: 0}
+	for name, f := range map[string]func(){
+		"fromFloat":               func() { fromFloat(bad) },
+		"OrientSign NaN":          func() { OrientSign(bad, fp(1, 0), fp(0, 1)) },
+		"OrientSign Inf":          func() { OrientSign(inf, fp(1, 0), fp(0, 1)) },
+		"StrictlyBetween":         func() { StrictlyBetween(fp(0, 0), fp(2, 0), bad) },
+		"CompleteVisibilityAmong": func() { CompleteVisibilityAmong([]geom.Point{fp(0, 0), bad}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on a non-finite coordinate", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
-
-func nan() float64 { f := 0.0; return f / f }

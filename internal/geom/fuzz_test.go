@@ -34,13 +34,13 @@ func decodePoints(data []byte) []geom.Point {
 // exactCV is the O(n³) exact referee of Complete Visibility: every pair
 // of live points exactly distinct, with no point exactly strictly between
 // them. A nil alive means all points are live.
-func exactCV(ex []exact.Point, alive []bool) bool {
-	for i := range ex {
-		for j := i + 1; j < len(ex); j++ {
+func exactCV(pts []geom.Point, alive []bool) bool {
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
 			if alive != nil && !(alive[i] && alive[j]) {
 				continue
 			}
-			if !exactVisible(ex, i, j) {
+			if !exactVisible(pts, i, j) {
 				return false
 			}
 		}
@@ -49,12 +49,12 @@ func exactCV(ex []exact.Point, alive []bool) bool {
 }
 
 // exactVisible reports, exactly, whether points i and j see each other.
-func exactVisible(ex []exact.Point, i, j int) bool {
-	if i == j || ex[i].Eq(ex[j]) {
+func exactVisible(pts []geom.Point, i, j int) bool {
+	if i == j || same(pts[i], pts[j]) {
 		return false
 	}
-	for k := range ex {
-		if k != i && k != j && exact.StrictlyBetween(ex[i], ex[j], ex[k]) {
+	for k := range pts {
+		if k != i && k != j && exact.StrictlyBetween(pts[i], pts[j], pts[k]) {
 			return false
 		}
 	}
@@ -62,16 +62,19 @@ func exactVisible(ex []exact.Point, i, j int) bool {
 }
 
 // distinct reports whether no two points coincide exactly.
-func distinct(ex []exact.Point) bool {
-	for i := range ex {
-		for j := i + 1; j < len(ex); j++ {
-			if ex[i].Eq(ex[j]) {
+func distinct(pts []geom.Point) bool {
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if same(pts[i], pts[j]) {
 				return false
 			}
 		}
 	}
 	return true
 }
+
+// same reports exact coordinate equality.
+func same(p, q geom.Point) bool { return p.X == q.X && p.Y == q.Y }
 
 // FuzzVisibleAgainstNaive cross-checks the visibility implementations on
 // every fuzzed configuration against the O(n²) reference VisibleFrom and
@@ -92,7 +95,6 @@ func FuzzVisibleAgainstNaive(f *testing.F) {
 		if len(pts) < 2 {
 			return
 		}
-		ex := exact.FromFloats(pts)
 		for i := range pts {
 			fast := geom.VisibleSetFast(pts, i)
 			if ref := geom.VisibleFrom(pts, i); !slices.Equal(fast, ref) {
@@ -101,7 +103,7 @@ func FuzzVisibleAgainstNaive(f *testing.F) {
 			}
 			for j := range pts {
 				got := slices.Contains(fast, j)
-				if want := exactVisible(ex, i, j); got != want {
+				if want := exactVisible(pts, i, j); got != want {
 					t.Fatalf("VisibleSetFast(%v, %d) has %d: %v, exact referee says %v",
 						pts, i, j, got, want)
 				}
@@ -111,7 +113,7 @@ func FuzzVisibleAgainstNaive(f *testing.F) {
 		defer kern.Close()
 		snap := kern.NewSnapshot()
 		masks := [][]bool{nil}
-		if distinct(ex) {
+		if distinct(pts) {
 			// A live robot colocated with a crashed one is a collision,
 			// which the exact check rejects and the row read leaves to the
 			// collision checks; only distinct inputs compare both.
@@ -122,7 +124,7 @@ func FuzzVisibleAgainstNaive(f *testing.F) {
 			masks = append(masks, alive)
 		}
 		for _, alive := range masks {
-			want := exactCV(ex, alive)
+			want := exactCV(pts, alive)
 			snap.Reset(pts)
 			if got := snap.CompleteVisibility(alive); got != want {
 				t.Fatalf("Snapshot.CompleteVisibility(%v, alive=%v) = %v, exact referee says %v",
@@ -153,8 +155,7 @@ func decodeSegments(data []byte) (geom.Segment, geom.Segment, bool) {
 // exactKind classifies the intersection of two int-grid segments with
 // rational arithmetic, mirroring Segment.Intersect's four-way verdict.
 func exactKind(s, u geom.Segment) geom.IntersectKind {
-	a1, b1 := exact.FromFloat(s.A), exact.FromFloat(s.B)
-	a2, b2 := exact.FromFloat(u.A), exact.FromFloat(u.B)
+	a1, b1, a2, b2 := s.A, s.B, u.A, u.B
 	switch {
 	case exact.SegmentsProperlyCross(a1, b1, a2, b2):
 		return geom.ProperCrossing

@@ -1,40 +1,13 @@
 // Package metrics derives the quantities the experiment tables report
-// from engine results and raw configurations: hull peeling depth,
-// movement cost, and aggregations of repeated runs.
+// from engine results: movement cost and aggregations of repeated runs.
 package metrics
 
 import (
 	"math"
 
-	"luxvis/internal/geom"
 	"luxvis/internal/sim"
 	"luxvis/internal/stats"
 )
-
-// PeelDepth returns the number of convex-hull peeling layers of pts
-// (the "onion depth"). A configuration in convex position has depth 1.
-func PeelDepth(pts []geom.Point) int {
-	rest := append([]geom.Point(nil), pts...)
-	depth := 0
-	for len(rest) > 0 {
-		depth++
-		h := geom.ConvexHull(rest)
-		next := rest[:0]
-		for _, p := range rest {
-			if c := h.Classify(p); c != geom.HullCorner && c != geom.HullEdge {
-				next = append(next, p)
-			}
-		}
-		if len(next) == len(rest) {
-			// Numerical stall; every remaining point claims to be
-			// interior of its own hull, which cannot happen — stop
-			// rather than loop.
-			break
-		}
-		rest = next
-	}
-	return depth
-}
 
 // RunStats aggregates a batch of engine results for one experiment cell
 // (one algorithm, one scheduler, one N, many seeds).

@@ -3,31 +3,8 @@ package metrics
 import (
 	"testing"
 
-	"luxvis/internal/geom"
 	"luxvis/internal/sim"
 )
-
-func TestPeelDepth(t *testing.T) {
-	// Triangle: depth 1. Triangle + center: depth 2.
-	tri := []geom.Point{geom.Pt(0, 0), geom.Pt(8, 0), geom.Pt(4, 8)}
-	if got := PeelDepth(tri); got != 1 {
-		t.Errorf("triangle depth = %d", got)
-	}
-	withCenter := append(append([]geom.Point{}, tri...), geom.Pt(4, 3))
-	if got := PeelDepth(withCenter); got != 2 {
-		t.Errorf("triangle+center depth = %d", got)
-	}
-	// Nested squares: depth = number of rings.
-	var nested []geom.Point
-	for r := 1; r <= 3; r++ {
-		s := float64(r * 4)
-		nested = append(nested,
-			geom.Pt(-s, -s), geom.Pt(s, -s), geom.Pt(s, s), geom.Pt(-s, s))
-	}
-	if got := PeelDepth(nested); got != 3 {
-		t.Errorf("nested squares depth = %d", got)
-	}
-}
 
 func TestAggregate(t *testing.T) {
 	results := []sim.Result{

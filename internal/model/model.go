@@ -83,27 +83,6 @@ type Snapshot struct {
 	Others []RobotView
 }
 
-// Points returns the positions of all robots in the snapshot, self first.
-// The returned slice is fresh; callers may mutate it.
-func (s Snapshot) Points() []geom.Point {
-	pts := make([]geom.Point, 0, len(s.Others)+1)
-	pts = append(pts, s.Self.Pos)
-	for _, o := range s.Others {
-		pts = append(pts, o.Pos)
-	}
-	return pts
-}
-
-// OtherPoints returns the positions of the visible robots (excluding
-// self). The returned slice is fresh.
-func (s Snapshot) OtherPoints() []geom.Point {
-	pts := make([]geom.Point, len(s.Others))
-	for i, o := range s.Others {
-		pts[i] = o.Pos
-	}
-	return pts
-}
-
 // AllOthersColored reports whether every visible robot's light is one of
 // the given colors. Vacuously true when nothing is visible.
 func (s Snapshot) AllOthersColored(cs ...Color) bool {

@@ -26,27 +26,6 @@ func snap(self geom.Point, others ...RobotView) Snapshot {
 	return Snapshot{Self: RobotView{Pos: self, Color: Off}, Others: others}
 }
 
-func TestSnapshotPoints(t *testing.T) {
-	s := snap(geom.Pt(1, 1),
-		RobotView{Pos: geom.Pt(2, 2), Color: Corner},
-		RobotView{Pos: geom.Pt(3, 3), Color: Side},
-	)
-	pts := s.Points()
-	if len(pts) != 3 || !pts[0].Eq(geom.Pt(1, 1)) || !pts[2].Eq(geom.Pt(3, 3)) {
-		t.Errorf("Points = %v", pts)
-	}
-	op := s.OtherPoints()
-	if len(op) != 2 || !op[0].Eq(geom.Pt(2, 2)) {
-		t.Errorf("OtherPoints = %v", op)
-	}
-	// Returned slices are fresh: mutating them must not affect the
-	// snapshot.
-	pts[0] = geom.Pt(99, 99)
-	if !s.Self.Pos.Eq(geom.Pt(1, 1)) {
-		t.Error("Points aliases the snapshot")
-	}
-}
-
 func TestCountColorAndAllOthersColored(t *testing.T) {
 	s := snap(geom.Pt(0, 0),
 		RobotView{Pos: geom.Pt(1, 0), Color: Corner},

@@ -153,8 +153,7 @@ func (e *engine) checkSubStep(r int, old, next geom.Point) {
 			continue
 		}
 		if seg.Dist(q) <= 10*geom.Eps {
-			a, b, m := exact.FromFloat(old), exact.FromFloat(next), exact.FromFloat(q)
-			if exact.StrictlyBetween(a, b, m) {
+			if exact.StrictlyBetween(old, next, q) {
 				e.violate(VPassThrough, r, o, fmt.Sprintf("robot %d passed through %v", r, q))
 			}
 		}
@@ -219,15 +218,11 @@ func (e *engine) confirmPathCross(r, o int, seg, oseg geom.Segment) {
 	kind, _ := seg.Intersect(oseg)
 	switch kind {
 	case geom.ProperCrossing:
-		a1, b1 := exact.FromFloat(seg.A), exact.FromFloat(seg.B)
-		a2, b2 := exact.FromFloat(oseg.A), exact.FromFloat(oseg.B)
-		if exact.SegmentsProperlyCross(a1, b1, a2, b2) {
+		if exact.SegmentsProperlyCross(seg.A, seg.B, oseg.A, oseg.B) {
 			e.violate(VPathCross, r, o, fmt.Sprintf("%v crosses %v", seg, oseg))
 		}
 	case geom.Overlapping:
-		a1, b1 := exact.FromFloat(seg.A), exact.FromFloat(seg.B)
-		a2, b2 := exact.FromFloat(oseg.A), exact.FromFloat(oseg.B)
-		if exact.SegmentsOverlap(a1, b1, a2, b2) {
+		if exact.SegmentsOverlap(seg.A, seg.B, oseg.A, oseg.B) {
 			e.violate(VPathCross, r, o, fmt.Sprintf("%v overlaps %v", seg, oseg))
 		}
 	}

@@ -172,7 +172,7 @@ func Audit(start []geom.Point, palette []model.Color, res sim.Result) (*Report, 
 					continue
 				}
 				if geom.Seg(old, p).Dist(q) <= 10*geom.Eps &&
-					exact.StrictlyBetween(exact.FromFloat(old), exact.FromFloat(p), exact.FromFloat(q)) {
+					exact.StrictlyBetween(old, p, q) {
 					rep.PassThroughs++
 					rep.problem("event %d: robot %d passed through robot %d at %v", e.Event, e.Robot, o, q)
 				}
@@ -259,13 +259,9 @@ func crossingSweep(moves []move, rep *Report) int {
 			hit := false
 			switch kind {
 			case geom.ProperCrossing:
-				hit = exact.SegmentsProperlyCross(
-					exact.FromFloat(sa.A), exact.FromFloat(sa.B),
-					exact.FromFloat(sb.A), exact.FromFloat(sb.B))
+				hit = exact.SegmentsProperlyCross(sa.A, sa.B, sb.A, sb.B)
 			case geom.Overlapping:
-				hit = exact.SegmentsOverlap(
-					exact.FromFloat(sa.A), exact.FromFloat(sa.B),
-					exact.FromFloat(sb.A), exact.FromFloat(sb.B))
+				hit = exact.SegmentsOverlap(sa.A, sa.B, sb.A, sb.B)
 			}
 			if hit {
 				count++
